@@ -6,7 +6,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lockgraph test race fuzz-smoke bench bench-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
+.PHONY: all build vet lint lint-json lockgraph test race fuzz-smoke bench bench-smoke bench-module serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
 
 all: build
 
@@ -58,6 +58,14 @@ bench-smoke:
 	@mkdir -p results
 	$(GO) run ./cmd/lexequalbench -quick -out results/BENCH_smoke.json
 
+# bench/ is a nested module (the BENCHMARK.json harness) that compiles
+# against internal/* but that `go build ./...` and `go test ./...` at
+# the root never see: vet it and run its tests (percentile and compare
+# logic, BENCHMARK.json-vs-tables, a smoke pass of all four workloads)
+# so an internal API change cannot rot it unnoticed.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
+
 # Run each native fuzz target briefly; a regression in either parser
 # robustness, TTP conversion, or WAL replay shows up here before a long
 # fuzz run.
@@ -97,7 +105,7 @@ mvcc-smoke:
 	$(GO) test -race -count=1 -run 'TestMVCCSmoke|TestSelectNeverBlocksBehindWriter|TestWriteWriteConflictAbortsAndRetries' ./internal/sql/
 	$(GO) test -race -count=1 -run 'TestMVCC' ./internal/db/
 
-ci: vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke
+ci: vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke bench-module
 
 clean:
 	$(GO) clean ./...

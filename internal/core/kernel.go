@@ -5,7 +5,6 @@ import (
 
 	"lexequal/internal/editdist"
 	"lexequal/internal/phoneme"
-	"lexequal/internal/qgram"
 )
 
 // Kernel selects how the edit-distance verification stage executes.
@@ -145,64 +144,4 @@ func (m *BatchMatcher) Match(b *Batch, i int, ln *Lane) bool {
 		ln.Stats.ScalarFallbacks++
 	}
 	return m.op.MatchPhonemesScratch(m.qp, cand, m.e, ln.Scratch)
-}
-
-// SigFilter is the query-side state of the batched q-gram signature
-// prefilter: projected-space length and Bloom gram-count checks decided
-// from per-row batch columns with a couple of word operations, before
-// any kernel work. Its projected-edit budget is the pair's edit bound
-// plus both strings' weak counts: the default cluster set places
-// glottals in the same cluster as dorsal obstruents, so an ICSC
-// substitution between a glottal and a strong clustermate (as in
-// /ha/~/ka/) changes the glottal-dropping projection by one full unit
-// for less than a unit of cost — each glottal of either string accounts
-// for at most one such unit, so the slacked budget is sound. The
-// q-gram strategy's exact positional filters budget with the same slack
-// (Operator.SigBudget); this filter is merely the coarser, batched
-// form of it.
-type SigFilter struct {
-	qlen  int
-	qproj int
-	qweak int
-	qsig  uint64
-	q     int
-	e     float64
-}
-
-// NewSigFilter prepares the prefilter for one query pattern; the batch
-// side must have been built with sigQ = q.
-func (op *Operator) NewSigFilter(qp phoneme.String, threshold float64, q int) SigFilter {
-	pr := op.encoder.Project(qp)
-	return SigFilter{
-		qlen:  len(qp),
-		qproj: len(pr),
-		qweak: editdist.WeakCount(qp),
-		qsig:  qgram.Signature(pr, q),
-		q:     q,
-		e:     threshold,
-	}
-}
-
-// Admit reports whether batch row i can possibly match within the
-// threshold; a false return is a proven dismissal and bumps PrunedSig.
-// Batches without prefilter columns admit everything.
-func (sf *SigFilter) Admit(b *Batch, i int, st *Stats) bool {
-	if b.gsig == nil {
-		return true
-	}
-	smaller := sf.qlen
-	if n := b.phon.RowLen(i); n < smaller {
-		smaller = n
-	}
-	k := sf.e*float64(smaller) + float64(sf.qweak+int(b.wk[i]))
-	if !qgram.LengthOK(sf.qproj, int(b.plen[i]), k) {
-		st.PrunedSig++
-		return false
-	}
-	if need := qgram.CountThreshold(sf.qproj, int(b.plen[i]), sf.q, k); need > 0 &&
-		qgram.MaxShared(sf.qsig, b.gsig[i], sf.qproj+sf.q-1) < need {
-		st.PrunedSig++
-		return false
-	}
-	return true
 }

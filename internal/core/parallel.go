@@ -40,10 +40,18 @@ func resolveOpts(opts []ExecOption) execOpts {
 	for _, f := range opts {
 		f(&o)
 	}
-	if o.workers <= 0 {
-		o.workers = runtime.GOMAXPROCS(0)
-	}
+	o.workers = ResolveWorkers(o.workers)
 	return o
+}
+
+// ResolveWorkers is the pool width a configured parallelism runs at:
+// workers <= 0 selects GOMAXPROCS. Every plan resolves its width here,
+// and EXPLAIN prints the same value.
+func ResolveWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
 }
 
 // MorselSize is the number of candidate rows a worker claims at a time.

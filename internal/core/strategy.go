@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
+	"sync"
 
-	"lexequal/internal/editdist"
 	"lexequal/internal/phoneme"
-	"lexequal/internal/qgram"
 	"lexequal/internal/script"
 	"lexequal/internal/soundex"
 )
@@ -121,38 +119,36 @@ func (s Stats) Canon() Stats {
 }
 
 // Corpus is a queryable collection of multiscript texts with the
-// auxiliary structures of §5 built once: the flat columnar batch of
-// phoneme strings (cached transforms plus the per-row kernel and
-// prefilter columns), the positional q-gram inverted index, and the
-// grouped-phoneme-identifier hash. DefaultQ is used unless overridden.
+// auxiliary structures of §5: the flat columnar batch of phoneme strings
+// (cached transforms plus the per-row kernel and prefilter columns) and
+// the grouped-phoneme-identifier hash, both built once, and the
+// positional q-gram inverted index, built on first q-gram use.
 type Corpus struct {
 	op      *Operator
 	q       int
 	texts   []Text
-	batch   Batch  // columnar phoneme rows + kernel/prefilter columns
-	proj    Column // signature projections (see soundex.Encoder.Project)
+	batch   *Batch // columnar phoneme rows + kernel/prefilter columns
 	skipped []int  // rows whose language had no converter (NORESOURCE rows)
 
-	grams   map[string][]posting // q-gram inverted index
 	grouped map[soundex.GroupedID][]int
-	encoder *soundex.Encoder
 
-	// sigGrams caches each row's positional q-gram signature (key +
-	// position over the projection), extracted once at corpus build so
-	// join probes never re-extract or re-render gram keys per pair.
-	sigGrams [][]sigGram
+	gramOnce sync.Once
+	gidx     *gramIndex
+}
+
+// gramIndex is the corpus side of the Figure 14 gram join.
+type gramIndex struct {
+	postings map[string][]posting // q-gram inverted index
+	// rows caches each row's positional grams, so a join probing with
+	// this corpus's rows never re-extracts or re-renders gram keys.
+	rows [][]sigGram
+	// sweep orders rows by descending weak count: the order a join's
+	// zero-gram residual sweep visits them in (QGramFilter.CountHasPower).
+	sweep []int
 }
 
 type posting struct {
 	row int
-	pos int
-}
-
-// sigGram is one cached positional q-gram of a row's signature
-// projection: the rendered key (as stored in the inverted index) and
-// its 1-based position.
-type sigGram struct {
-	key string
 	pos int
 }
 
@@ -169,122 +165,106 @@ func (op *Operator) NewCorpus(texts []Text) (*Corpus, error) {
 
 // NewCorpusQ is NewCorpus with an explicit q-gram length (q >= 2).
 func (op *Operator) NewCorpusQ(texts []Text, q int) (*Corpus, error) {
-	if q < 2 {
-		return nil, fmt.Errorf("core: q must be >= 2, got %d", q)
-	}
-	c := &Corpus{
-		op:       op,
-		q:        q,
-		texts:    texts,
-		grams:    make(map[string][]posting),
-		grouped:  make(map[soundex.GroupedID][]int),
-		encoder:  op.encoder,
-		sigGrams: make([][]sigGram, len(texts)),
-	}
-	// The columnar batch is materialized once per corpus with every
-	// column the strategies can consume — transforms, weak counts, kernel
-	// signatures (when the cost model bit-parallelizes), projected
-	// lengths and Bloom signatures — so scans at any kernel setting share
-	// the same read-only batch and the per-candidate hot path never makes
-	// an interface call or allocates.
-	kern, _ := editdist.NewBitvec(op.cost)
-	c.batch.wk = make([]int32, len(texts))
-	if kern != nil {
-		c.batch.ksig = make([]uint64, len(texts))
-	}
-	c.batch.plen = make([]int32, len(texts))
-	c.batch.gsig = make([]uint64, len(texts))
+	phons := make([]phoneme.String, len(texts))
+	var skipped []int
 	for i, t := range texts {
 		if !op.registry.Has(t.Lang) {
-			c.skipped = append(c.skipped, i)
-			c.batch.phon.Append(nil)
-			c.proj.Append(nil)
+			skipped = append(skipped, i)
 			continue
 		}
 		p, err := op.Transform(t.Value, t.Lang)
 		if err != nil {
 			return nil, fmt.Errorf("core: row %d (%s): %w", i, t, err)
 		}
-		c.batch.phon.Append(p)
-		c.batch.wk[i] = int32(editdist.WeakCount(p))
-		if kern != nil {
-			c.batch.ksig[i] = kern.CandSig(p)
+		phons[i] = p
+	}
+	c, err := op.newCorpus(texts, phons, q)
+	if err != nil {
+		return nil, err
+	}
+	c.skipped = skipped
+	return c, nil
+}
+
+// NewCorpusPhonemes builds a corpus over rows that are already phoneme
+// strings (a stored pname column), tagged with their languages; no TTP
+// runs. Zero-length rows never match, like NORESOURCE rows.
+func (op *Operator) NewCorpusPhonemes(phons []phoneme.String, langs []script.Language, q int) (*Corpus, error) {
+	if len(langs) != len(phons) {
+		return nil, fmt.Errorf("core: %d phoneme rows but %d language tags", len(phons), len(langs))
+	}
+	texts := make([]Text, len(phons))
+	for i, l := range langs {
+		texts[i].Lang = l
+	}
+	return op.newCorpus(texts, phons, q)
+}
+
+// newCorpus materializes the columnar batch once with every column the
+// strategies can consume — transforms, weak counts, kernel signatures
+// (when the cost model bit-parallelizes), projected lengths and Bloom
+// signatures — so scans at any kernel setting share one read-only batch
+// and the per-candidate hot path never makes an interface call or
+// allocates.
+func (op *Operator) newCorpus(texts []Text, phons []phoneme.String, q int) (*Corpus, error) {
+	if q < 2 {
+		return nil, fmt.Errorf("core: q must be >= 2, got %d", q)
+	}
+	c := &Corpus{
+		op:      op,
+		q:       q,
+		texts:   texts,
+		batch:   op.BuildBatch(phons, KernelAuto, q),
+		grouped: make(map[soundex.GroupedID][]int),
+	}
+	for i, p := range phons {
+		if len(p) > 0 {
+			id := op.encoder.Encode(p)
+			c.grouped[id] = append(c.grouped[id], i)
 		}
-		// Q-grams are extracted over the signature projection of the
-		// phoneme string (glottals dropped, phonemes folded to their
-		// cluster representatives). Under the clustered cost model the
-		// cheap edits — intra-cluster substitutions and glottal indels —
-		// leave the projection untouched, and every edit that does
-		// change it costs at least one full unit, so an edit-cost
-		// budget of k admits at most k projected-space unit edits: the
-		// exact premise of the three q-gram filters.
-		pr := c.encoder.Project(p)
-		c.proj.Append(pr)
-		c.batch.plen[i] = int32(len(pr))
-		c.batch.gsig[i] = qgram.Signature(pr, q)
-		grams := qgram.Extract(pr, q)
-		c.sigGrams[i] = make([]sigGram, len(grams))
-		for gi, g := range grams {
-			key := g.Key()
-			c.grams[key] = append(c.grams[key], posting{row: i, pos: g.Pos})
-			c.sigGrams[i][gi] = sigGram{key: key, pos: g.Pos}
-		}
-		c.grouped[c.encoder.Encode(p)] = append(c.grouped[c.encoder.Encode(p)], i)
 	}
 	return c, nil
 }
 
-// SigBudget converts a clustered-cost bound into a sound budget on
-// projected-space unit edits for one candidate pair; weak is the total
-// weak-phoneme count of the two strings. Most projection-changing edits
-// cost at least one full unit (the cost model's discounted-indel set
-// equals the projection's drop set), but the default cluster set places
-// glottals in the same cluster as dorsal obstruents, so an ICSC
-// substitution between a glottal and a strong clustermate changes the
-// projection for less than a unit — the /ha/~/ka/ pair SigFilter's doc
-// walks through. Each such edit consumes a distinct weak occurrence of
-// one of the two strings, so bound + weak is sound (the same slack
-// SigFilter applies); independently, SigBudgetCap bounds the budget
-// without reference to the candidate. The tighter of the two applies.
-func (op *Operator) SigBudget(bound float64, weak int) float64 {
-	b := bound + float64(weak)
-	if c := op.SigBudgetCap(bound); c < b {
-		b = c
-	}
-	return b
+// gramIndex returns the positional q-gram index, building it on first
+// use (naive and indexed plans never pay for it). Grams are extracted
+// over the signature projection; see QGramFilter.
+func (c *Corpus) gramIndex() *gramIndex {
+	c.gramOnce.Do(func() {
+		n := c.Len()
+		idx := &gramIndex{postings: make(map[string][]posting), rows: make([][]sigGram, n), sweep: make([]int, n)}
+		for i := 0; i < n; i++ {
+			idx.sweep[i] = i
+			p := c.batch.phon.View(i)
+			if p == nil {
+				continue
+			}
+			idx.rows[i] = sigGrams(c.op.encoder.Project(p), c.q)
+			for _, g := range idx.rows[i] {
+				idx.postings[g.key] = append(idx.postings[g.key], posting{row: i, pos: g.pos})
+			}
+		}
+		sort.SliceStable(idx.sweep, func(a, b int) bool {
+			return c.batch.wk[idx.sweep[a]] > c.batch.wk[idx.sweep[b]]
+		})
+		c.gidx = idx
+	})
+	return c.gidx
 }
 
-// SigBudgetCap is the candidate-independent ceiling on the projected-
-// space edit budget: every edit that changes the signature projection
-// costs at least the model's floor (cross-cluster substitutions and
-// strong indels cost 1, glottal↔strong intra-cluster substitutions cost
-// ICSC; discounted glottal indels never change the projection because
-// the projection drops glottals), so a pair within clustered cost
-// `bound` admits at most bound/floor projected unit edits. An ICSC of
-// zero prices some projection-changing edits free, so no finite cap
-// exists there. Plans use the cap where the candidate (and hence its
-// weak count) is not yet in hand: probe-time pruning and the decision
-// whether zero-gram candidates must still be swept.
-func (op *Operator) SigBudgetCap(bound float64) float64 {
-	switch cm := op.cost.(type) {
-	case editdist.Clustered:
-		if cm.ICSC >= 1 {
-			return bound
+// gramCounts probes the inverted index with the filter's grams: per row,
+// how many postings pass the position test at the pair's budget.
+func (c *Corpus) gramCounts(f *QGramFilter) map[int]int {
+	idx := c.gramIndex()
+	counts := make(map[int]int)
+	for _, g := range f.grams {
+		for _, p := range idx.postings[g.key] {
+			if f.positionOK(g.pos, p.pos, int(c.batch.wk[p.row])) {
+				counts[p.row]++
+			}
 		}
-		if cm.ICSC == 0 {
-			return math.Inf(1)
-		}
-		if c := bound / cm.ICSC; c < 1e12 {
-			return c
-		}
-		// An absurdly small ICSC yields a quotient with no filtering
-		// power (and unsafe to truncate to int); treat it as unbounded.
-		return math.Inf(1)
-	default:
-		// Unit charges 1 per projection-changing edit; other models keep
-		// the historical bare bound (their floor is not analyzable here).
-		return bound
 	}
+	return counts
 }
 
 // Len returns the number of rows.
@@ -299,13 +279,62 @@ func (c *Corpus) Text(i int) Text { return c.texts[i] }
 func (c *Corpus) Phonemes(i int) phoneme.String { return c.batch.phon.View(i) }
 
 // Batch exposes the corpus's columnar candidate batch (read-only).
-func (c *Corpus) Batch() *Batch { return &c.batch }
+func (c *Corpus) Batch() *Batch { return c.batch }
 
 // Skipped lists rows whose language had no TTP converter.
 func (c *Corpus) Skipped() []int { return c.skipped }
 
 // Q returns the corpus's q-gram length.
 func (c *Corpus) Q() int { return c.q }
+
+// verify is the selection loop every plan shares: candidate j of n is
+// batch row rowAt(j) (nil: row j itself); rows the source skips are
+// never counted, every other row is counted, run through the plan's
+// filter chain (nil admits everything; a false return must account for
+// itself in a Pruned counter), and verified by the kernel dispatcher on
+// the morsel pool. Output is in candidate order at any width.
+func verify(b *Batch, n int, rowAt func(j int) int, pm *BatchMatcher, workers int,
+	skip func(i int) bool, admit func(b *Batch, i int, st *Stats) bool) ([]int, Stats) {
+	chunks, st := RunMorsels(n, workers, func(ln *Lane, lo, hi int) []int {
+		var out []int
+		for j := lo; j < hi; j++ {
+			i := j
+			if rowAt != nil {
+				i = rowAt(j)
+			}
+			if skip != nil && skip(i) {
+				continue
+			}
+			ln.Stats.Rows++
+			if admit != nil && !admit(b, i, &ln.Stats) {
+				continue
+			}
+			ln.Stats.Candidates++
+			if pm.Match(b, i, ln) {
+				out = append(out, i)
+			}
+		}
+		return out
+	})
+	out := MergeChunks(chunks)
+	st.Matches = len(out)
+	return out, st
+}
+
+// Verify is the selection loop for candidates fetched from storage:
+// cands is batched under op (sigQ > 0 adds the prefilter columns the
+// SigFilter and QGramFilter chains read), every candidate is counted,
+// filtered by admit and verified against qp; the indexes of the matches
+// come back in candidate order. admit and everything it reads are
+// shared read-only across the pool.
+func (op *Operator) Verify(qp phoneme.String, threshold float64, cands []phoneme.String, sigQ int,
+	admit func(b *Batch, i int, st *Stats) bool, opts ...ExecOption) ([]int, Stats) {
+	o := resolveOpts(opts)
+	b := op.BuildBatch(cands, o.kernel, sigQ)
+	out, st := verify(b, b.Len(), nil, op.NewBatchMatcher(qp, threshold, o.kernel), o.workers, nil, admit)
+	st.BatchesBuilt++
+	return out, st
+}
 
 // Select finds the rows matching query at the threshold, restricted to
 // langs, using the given strategy. All strategies return identical
@@ -325,121 +354,37 @@ func (c *Corpus) Select(query Text, threshold float64, langs LangSet, strat Stra
 		return nil, Stats{}, err
 	}
 	o := resolveOpts(opts)
+	pm := c.op.NewBatchMatcher(qp, threshold, o.kernel)
+	skip := func(i int) bool {
+		return c.batch.phon.RowLen(i) == 0 || !langs.Contains(c.texts[i].Lang)
+	}
+	var out []int
+	var st Stats
 	switch strat {
 	case Naive:
-		return c.selectNaive(qp, threshold, langs, o)
+		// Scan every row, but run the batched signature prefilter before
+		// paying for verification: Candidates undercounts Rows by exactly
+		// PrunedSig.
+		sf := c.op.NewSigFilter(qp, threshold, c.q)
+		out, st = verify(c.batch, c.Len(), nil, pm, o.workers, skip, sf.Admit)
 	case QGram:
-		return c.selectQGram(qp, threshold, langs, o)
+		// Figure 14: the inverted index supplies position-filtered gram
+		// counts in one probe pass; the scan then runs the length and
+		// count filters (counts is read-only by then).
+		f := c.op.NewQGramFilter(qp, threshold, c.q)
+		counts := c.gramCounts(&f)
+		out, st = verify(c.batch, c.Len(), nil, pm, o.workers, skip, func(b *Batch, i int, s *Stats) bool {
+			return f.Admit(b, i, counts[i], s)
+		})
 	case Indexed:
-		return c.selectIndexed(qp, threshold, langs, o)
+		// Figure 15: verify the (few) rows sharing the query's cluster
+		// signature. Fast, with false dismissals for matches whose edits
+		// cross cluster boundaries.
+		group := c.grouped[c.op.encoder.Encode(qp)]
+		out, st = verify(c.batch, len(group), func(j int) int { return group[j] }, pm, o.workers, skip, nil)
 	default:
 		return nil, Stats{}, fmt.Errorf("core: unknown strategy %v", strat)
 	}
-}
-
-// selectNaive scans every row, but runs the batched signature prefilter
-// (a couple of word operations against precomputed batch columns)
-// before paying for edit-distance verification — the naive plan's
-// Candidates therefore undercount Rows by exactly PrunedSig.
-func (c *Corpus) selectNaive(qp phoneme.String, e float64, langs LangSet, o execOpts) ([]int, Stats, error) {
-	pm := c.op.NewBatchMatcher(qp, e, o.kernel)
-	sf := c.op.NewSigFilter(qp, e, c.q)
-	chunks, st := RunMorsels(len(c.texts), o.workers, func(ln *Lane, lo, hi int) []int {
-		var out []int
-		for i := lo; i < hi; i++ {
-			if c.batch.phon.RowLen(i) == 0 || !langs.Contains(c.texts[i].Lang) {
-				continue
-			}
-			ln.Stats.Rows++
-			if !sf.Admit(&c.batch, i, &ln.Stats) {
-				continue
-			}
-			ln.Stats.Candidates++
-			if pm.Match(&c.batch, i, ln) {
-				out = append(out, i)
-			}
-		}
-		return out
-	})
-	out := MergeChunks(chunks)
-	st.Matches = len(out)
-	return out, st, nil
-}
-
-// selectQGram implements the Figure 14 plan: the edit-distance budget is
-// k = e·|query| (the paper uses the query length in all three filter
-// predicates) slacked per row by the pair's weak counts (SigBudget),
-// the inverted index supplies position-filtered gram match counts, and
-// candidates passing the length and count filters are verified with the
-// UDF. The probe phase runs once; the filter+verify scan is
-// morsel-parallel (counts is read-only by then).
-func (c *Corpus) selectQGram(qp phoneme.String, e float64, langs LangSet, o execOpts) ([]int, Stats, error) {
-	base := e * float64(len(qp))
-	qweak := editdist.WeakCount(qp)
-	kRow := func(i int) float64 { return c.op.SigBudget(base, qweak+int(c.batch.wk[i])) }
-	qproj := c.encoder.Project(qp)
-	pm := c.op.NewBatchMatcher(qp, e, o.kernel)
-	counts := make(map[int]int)
-	for _, g := range qgram.Extract(qproj, c.q) {
-		for _, p := range c.grams[g.Key()] {
-			if qgram.PositionOK(g.Pos, p.pos, kRow(p.row)) {
-				counts[p.row]++
-			}
-		}
-	}
-	chunks, st := RunMorsels(len(c.texts), o.workers, func(ln *Lane, lo, hi int) []int {
-		var out []int
-		for i := lo; i < hi; i++ {
-			if c.batch.phon.RowLen(i) == 0 || !langs.Contains(c.texts[i].Lang) {
-				continue
-			}
-			ln.Stats.Rows++
-			k := kRow(i)
-			if !qgram.LengthOK(len(qproj), c.proj.RowLen(i), k) {
-				ln.Stats.PrunedLength++
-				continue
-			}
-			need := qgram.CountThreshold(len(qproj), c.proj.RowLen(i), c.q, k)
-			if need > 0 && counts[i] < need {
-				ln.Stats.PrunedCount++
-				continue
-			}
-			ln.Stats.Candidates++
-			if pm.Match(&c.batch, i, ln) {
-				out = append(out, i)
-			}
-		}
-		return out
-	})
-	out := MergeChunks(chunks)
-	st.Matches = len(out)
-	return out, st, nil
-}
-
-// selectIndexed implements the Figure 15 plan: probe the grouped-
-// phoneme-identifier index and verify the (few) rows sharing the
-// query's cluster signature. Fast, with false dismissals for matches
-// whose edits cross cluster boundaries. The posting list is morseled
-// like any other candidate range.
-func (c *Corpus) selectIndexed(qp phoneme.String, e float64, langs LangSet, o execOpts) ([]int, Stats, error) {
-	group := c.grouped[c.encoder.Encode(qp)]
-	pm := c.op.NewBatchMatcher(qp, e, o.kernel)
-	chunks, st := RunMorsels(len(group), o.workers, func(ln *Lane, lo, hi int) []int {
-		var out []int
-		for _, i := range group[lo:hi] {
-			if c.batch.phon.RowLen(i) == 0 || !langs.Contains(c.texts[i].Lang) {
-				continue
-			}
-			ln.Stats.Rows++
-			ln.Stats.Candidates++
-			if pm.Match(&c.batch, i, ln) {
-				out = append(out, i)
-			}
-		}
-		return out
-	})
-	out := MergeChunks(chunks)
-	st.Matches = len(out)
 	return out, st, nil
 }
 
@@ -452,9 +397,11 @@ type Pair struct {
 // Join finds all cross-corpus pairs matching at the threshold under the
 // strategy, optionally requiring different languages (the paper's
 // equi-join example restricts B1.Language <> B2.Language). The probe
-// loop over left rows is split into morsels; per-worker scratch and
-// stats plus the final normalizing sort make the output and Stats
-// byte-identical to the serial path at any worker count.
+// loop over left rows is split into morsels; the strategies differ only
+// in how they enumerate a left row's right-side candidates and which
+// filter those pass. Per-worker scratch and stats plus the final
+// normalizing sort make the output — ordered by (left row, right row) —
+// and Stats byte-identical to the serial path at any worker count.
 func Join(left, right *Corpus, threshold float64, requireDifferentLang bool, strat Strategy, opts ...ExecOption) ([]Pair, Stats, error) {
 	if threshold < 0 {
 		threshold = left.op.threshold
@@ -467,183 +414,106 @@ func Join(left, right *Corpus, threshold float64, requireDifferentLang bool, str
 	// but the right batch's kernel signatures were built under the
 	// right's: when the models differ the bit-parallel path would read
 	// masks from the wrong model, so cross-model joins run scalar.
-	// (Clustered and Unit are comparable values, so interface equality
-	// compares model parameters.)
 	kern := o.kernel
 	if !left.op.CostEqual(right.op) {
 		kern = KernelScalar
 	}
-	var probe func(ln *Lane, lo, hi int) []Pair
+	// candidates prepares the probe of left row l: the right rows to try
+	// and the filter they must pass (nil admits everything).
+	var candidates func(ln *Lane, l int, lp phoneme.String) ([]int, func(r int, st *Stats) bool)
 	switch strat {
 	case Naive:
+		all := make([]int, right.Len())
+		for r := range all {
+			all[r] = r
+		}
 		// The batched signature prefilter needs the probe projection and
 		// the right batch's signature columns to come from one encoder
 		// and cost model; a shared operator guarantees both.
 		useSig := left.op == right.op
-		probe = func(ln *Lane, lo, hi int) []Pair {
-			pm := left.op.NewLaneMatcher(ln, kern)
-			var out []Pair
-			for l := lo; l < hi; l++ {
-				lp := left.batch.phon.View(l)
-				if lp == nil {
-					continue
-				}
-				pm.SetPattern(lp, threshold)
-				var sf SigFilter
-				if useSig {
-					sf = left.op.NewSigFilter(lp, threshold, right.q)
-				}
-				for r := range right.texts {
-					if right.batch.phon.RowLen(r) == 0 {
-						continue
-					}
-					if requireDifferentLang && left.texts[l].Lang == right.texts[r].Lang {
-						continue
-					}
-					ln.Stats.Rows++
-					if useSig && !sf.Admit(&right.batch, r, &ln.Stats) {
-						continue
-					}
-					ln.Stats.Candidates++
-					if pm.Match(&right.batch, r, ln) {
-						out = append(out, Pair{Left: l, Right: r})
-					}
-				}
+		candidates = func(_ *Lane, _ int, lp phoneme.String) ([]int, func(int, *Stats) bool) {
+			if !useSig {
+				return all, nil
 			}
-			return out
+			sf := left.op.NewSigFilter(lp, threshold, right.q)
+			return all, func(r int, st *Stats) bool { return sf.Admit(right.batch, r, st) }
 		}
 	case QGram:
-		// Probe-side signatures come from the corpus cache when the gram
-		// lengths agree (always, for a self-join), so no per-probe gram
-		// extraction or key rendering happens on the hot path.
-		cached := left.q == right.q
-		// Right rows ordered by weak count (descending): the zero-gram
-		// sweep below visits rows in this order and stops as soon as the
-		// count filter regains power, so glottal-free corpora pay nothing.
-		sweepOrder := make([]int, len(right.texts))
-		for r := range sweepOrder {
-			sweepOrder[r] = r
+		ridx := right.gramIndex()
+		// Probe-side grams come from the left corpus's cache when the
+		// gram lengths agree (always, for a self-join).
+		var cache [][]sigGram
+		if left.q == right.q {
+			cache = left.gramIndex().rows
 		}
-		sort.Slice(sweepOrder, func(a, b int) bool {
-			wa, wb := right.batch.wk[sweepOrder[a]], right.batch.wk[sweepOrder[b]]
-			if wa != wb {
-				return wa > wb
+		candidates = func(ln *Lane, l int, lp phoneme.String) ([]int, func(int, *Stats) bool) {
+			var grams []sigGram
+			if cache != nil {
+				ln.Stats.SigCacheHits++
+				grams = cache[l]
+			} else {
+				grams = sigGrams(left.op.encoder.Project(lp), right.q)
 			}
-			return sweepOrder[a] < sweepOrder[b]
-		})
-		probe = func(ln *Lane, lo, hi int) []Pair {
-			pm := left.op.NewLaneMatcher(ln, kern)
-			var out []Pair
-			for l := lo; l < hi; l++ {
-				lp := left.batch.phon.View(l)
-				if lp == nil {
-					continue
-				}
-				pm.SetPattern(lp, threshold)
-				lplen := left.proj.RowLen(l)
-				// Budgets are per pair (SigBudget slacks by both weak
-				// counts) under the LEFT operator's cost model — the model
-				// the verification runs under.
-				base := threshold * float64(len(lp))
-				kPair := func(r int) float64 { return left.op.SigBudget(base, int(left.batch.wk[l])+int(right.batch.wk[r])) }
-				counts := make(map[int]int)
-				if cached {
-					ln.Stats.SigCacheHits++
-					for _, g := range left.sigGrams[l] {
-						for _, p := range right.grams[g.key] {
-							if qgram.PositionOK(g.pos, p.pos, kPair(p.row)) {
-								counts[p.row]++
-							}
-						}
+			// The filter budgets under the LEFT operator's cost model —
+			// the model the verification runs under.
+			f := left.op.qgramFilter(len(lp), int(left.batch.plen[l]), int(left.batch.wk[l]), threshold, right.q, grams)
+			counts := right.gramCounts(&f)
+			rows := make([]int, 0, len(counts))
+			for r := range counts {
+				rows = append(rows, r)
+			}
+			// Rows sharing no position-compatible gram can still be true
+			// matches when the count filter has no power for the pair;
+			// sweep them in descending weak order until it regains power,
+			// so glottal-free corpora pay nothing.
+			if f.ZeroGramsCanMatch() {
+				for _, r := range ridx.sweep {
+					if f.CountHasPower(int(right.batch.wk[r])) {
+						break
 					}
-				} else {
-					for _, g := range qgram.Extract(left.proj.View(l), right.q) {
-						for _, p := range right.grams[g.Key()] {
-							if qgram.PositionOK(g.Pos, p.pos, kPair(p.row)) {
-								counts[p.row]++
-							}
-						}
-					}
-				}
-				tryPair := func(r, cnt int) {
-					if right.batch.phon.RowLen(r) == 0 {
-						return
-					}
-					if requireDifferentLang && left.texts[l].Lang == right.texts[r].Lang {
-						return
-					}
-					ln.Stats.Rows++
-					k := kPair(r)
-					if !qgram.LengthOK(lplen, right.proj.RowLen(r), k) {
-						ln.Stats.PrunedLength++
-						return
-					}
-					need := qgram.CountThreshold(lplen, right.proj.RowLen(r), right.q, k)
-					if need > 0 && cnt < need {
-						ln.Stats.PrunedCount++
-						return
-					}
-					ln.Stats.Candidates++
-					if pm.Match(&right.batch, r, ln) {
-						out = append(out, Pair{Left: l, Right: r})
-					}
-				}
-				for r, cnt := range counts {
-					tryPair(r, cnt)
-				}
-				// Rows sharing no position-compatible gram can still be
-				// true matches when the count filter has no power for the
-				// pair (short strings, or weak-count slack swallowing the
-				// whole budget). Sweep them only in that regime: rows in
-				// descending weak order, stopping once the count filter
-				// regains power (need is monotone in the row's weak count,
-				// and CountThreshold's second argument 0 selects the
-				// admissible length that minimizes it).
-				capK := left.op.SigBudgetCap(base)
-				if math.IsInf(capK, 1) || qgram.CountThreshold(lplen, 0, right.q, capK) <= 0 {
-					for _, r := range sweepOrder {
-						if qgram.CountThreshold(lplen, 0, right.q, kPair(r)) > 0 {
-							break
-						}
-						if _, seen := counts[r]; !seen {
-							tryPair(r, 0)
-						}
+					if _, seen := counts[r]; !seen {
+						rows = append(rows, r)
 					}
 				}
 			}
-			return out
+			return rows, func(r int, st *Stats) bool { return f.Admit(right.batch, r, counts[r], st) }
 		}
 	case Indexed:
-		probe = func(ln *Lane, lo, hi int) []Pair {
-			pm := left.op.NewLaneMatcher(ln, kern)
-			var out []Pair
-			for l := lo; l < hi; l++ {
-				lp := left.batch.phon.View(l)
-				if lp == nil {
-					continue
-				}
-				pm.SetPattern(lp, threshold)
-				id := right.encoder.Encode(lp)
-				for _, r := range right.grouped[id] {
-					if right.batch.phon.RowLen(r) == 0 {
-						continue
-					}
-					if requireDifferentLang && left.texts[l].Lang == right.texts[r].Lang {
-						continue
-					}
-					ln.Stats.Rows++
-					ln.Stats.Candidates++
-					if pm.Match(&right.batch, r, ln) {
-						out = append(out, Pair{Left: l, Right: r})
-					}
-				}
-			}
-			return out
+		candidates = func(_ *Lane, _ int, lp phoneme.String) ([]int, func(int, *Stats) bool) {
+			return right.grouped[right.op.encoder.Encode(lp)], nil
 		}
 	default:
 		return nil, Stats{}, fmt.Errorf("core: unknown strategy %v", strat)
 	}
-	chunks, st := RunMorsels(len(left.texts), o.workers, probe)
+	chunks, st := RunMorsels(left.Len(), o.workers, func(ln *Lane, lo, hi int) []Pair {
+		pm := left.op.NewLaneMatcher(ln, kern)
+		var out []Pair
+		for l := lo; l < hi; l++ {
+			lp := left.batch.phon.View(l)
+			if lp == nil {
+				continue
+			}
+			pm.SetPattern(lp, threshold)
+			rows, admit := candidates(ln, l, lp)
+			for _, r := range rows {
+				if right.batch.phon.RowLen(r) == 0 {
+					continue
+				}
+				if requireDifferentLang && left.texts[l].Lang == right.texts[r].Lang {
+					continue
+				}
+				ln.Stats.Rows++
+				if admit != nil && !admit(r, &ln.Stats) {
+					continue
+				}
+				ln.Stats.Candidates++
+				if pm.Match(right.batch, r, ln) {
+					out = append(out, Pair{Left: l, Right: r})
+				}
+			}
+		}
+		return out
+	})
 	out := MergeChunks(chunks)
 	// The q-gram strategy discovers candidates in hash order; normalize
 	// so all strategies return deterministically ordered results.

@@ -305,7 +305,7 @@ func TestNoResourceRowsNeverMatch(t *testing.T) {
 // places them with dorsal obstruents, so a cheap ICSC substitution like
 // /ha/~/ka/ moves the projection by a full unit for a fraction of the
 // budget — the exact surface the q-gram strategy's weak-count slack
-// (Operator.SigBudget) exists for.
+// (QGramFilter.budget) exists for.
 func weakCatalog() []Text {
 	return []Text{
 		en("Ha"),    // 0

@@ -26,8 +26,16 @@ func crashTexts() []core.Text {
 	}
 }
 
+// crashLoad also builds the ordinary gramhash index the loader built
+// before the covering index made it redundant: directories loaded back
+// then carry it and must keep surviving crashes, and it is the only
+// column index over the aux table, so the sweeps keep the fault points
+// of that index build.
 func crashLoad(d *DB, op *core.Operator) error {
-	_, err := CreateNameTable(d, "names", op, crashTexts(), NameTableSpec{WithAux: true, WithIndexes: true})
+	if _, err := CreateNameTable(d, "names", op, crashTexts(), NameTableSpec{WithAux: true, WithIndexes: true}); err != nil {
+		return err
+	}
+	_, err := d.CreateIndex("names_qgrams_hash_idx", "names_qgrams", "gramhash")
 	return err
 }
 

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
-	"sort"
+	"slices"
 
 	"lexequal/internal/core"
-	"lexequal/internal/editdist"
 	"lexequal/internal/metrics"
 	"lexequal/internal/phoneme"
-	"lexequal/internal/qgram"
+	"lexequal/internal/script"
 	"lexequal/internal/soundex"
 	"lexequal/internal/store"
 )
@@ -29,8 +27,10 @@ func (f *FuncExpr) Eval(row Row) (Value, error) { return f.F(row) }
 func (f *FuncExpr) String() string { return f.Desc }
 
 // LexConfig binds a multiscript name table to the physical structures
-// the LexEQUAL strategies need. The conventional layout (produced by
-// the dataset loader) is:
+// the LexEQUAL plans read. The plans are storage *sources*: they fetch
+// candidate rows (and, for the q-gram plan, gram evidence) and hand
+// them to the one strategy engine in internal/core, which filters and
+// verifies. The conventional layout (produced by the dataset loader) is:
 //
 //	<table>(id INT, name NSTRING, pname STRING, groupid INT)
 //	<table>_qgrams(id INT, pos INT, qgram STRING)
@@ -43,14 +43,12 @@ type LexConfig struct {
 	PhonCol  int
 	GroupCol int
 
-	Aux                    *Table // nil disables the q-gram strategy
+	Aux                    *Table // nil disables the q-gram scan
 	AuxID, AuxPos, AuxGram int
-	AuxHash                int // -1 when the aux table has no gramhash column
 
-	IDIndex      *Index // nil disables q-gram candidate fetch by index
-	GroupIndex   *Index // nil disables the phonetic-index strategy
-	AuxHashIndex *Index // nil makes the q-gram probe scan the aux table
-	CoverIndex   *Index // covering gram index: probe without heap fetches
+	IDIndex    *Index // nil disables q-gram candidate fetch by index
+	GroupIndex *Index // nil disables the phonetic-index scan
+	CoverIndex *Index // covering gram index; nil makes the q-gram probe scan the aux table
 
 	Op *core.Operator
 	Q  int
@@ -63,9 +61,9 @@ type LexConfig struct {
 
 	// Workers sets the verification parallelism of the lex nodes:
 	// candidates are fetched from storage serially (the storage layer is
-	// single-threaded), then the DP verification stage runs on a morsel
-	// pool of this width. <= 1 is serial; results are identical at any
-	// width. 0 means GOMAXPROCS.
+	// single-threaded), then core verifies them on a morsel pool of this
+	// width (core.Parallel). 1 is serial, 0 means GOMAXPROCS; results
+	// are identical at any width.
 	Workers int
 	// Kernel selects the verification kernel (SET lexequal_kernel).
 	// Auto engages the bit-parallel kernel whenever the operator's cost
@@ -76,14 +74,6 @@ type LexConfig struct {
 	Counters *metrics.PipelineCounters
 }
 
-// workers resolves the configured verification parallelism.
-func (cfg *LexConfig) workers() int {
-	if cfg.Workers == 0 {
-		return 1
-	}
-	return cfg.Workers
-}
-
 // record folds one execution's stats into the session counters.
 func (cfg *LexConfig) record(st core.Stats) {
 	if cfg.Counters != nil {
@@ -91,61 +81,59 @@ func (cfg *LexConfig) record(st core.Stats) {
 	}
 }
 
-// lexCand is one fetched candidate awaiting verification: the base row,
-// its decoded phonemes, and (q-gram strategy only) the pair's exact
-// filter state — shared-gram count, projected length, and the
-// weak-slacked budget (core.Operator.SigBudget), all fixed at collect
-// time once the candidate's phonemes are in hand.
-type lexCand struct {
-	row   Row
-	phon  phoneme.String
-	count int
-	plen  int
-	kbud  float64
+// lexCands is what a select source fetched: base rows and their decoded
+// phonemes, index-aligned.
+type lexCands struct {
+	rows  []Row
+	phons []phoneme.String
 }
 
-// verifyStage materializes the fetched candidates into one flat
-// columnar batch and verifies them on the morsel pool through the
-// kernel dispatcher: the bit-parallel kernel decides most pairs from
-// the batch columns, undecided pairs fall back to the scalar DP. check,
-// when non-nil, is the pre-batch filter chain (the q-gram plan's length
-// and count filters); sigQ > 0 additionally runs the batched Bloom
-// signature prefilter (the naive plan, whose candidates saw no filter
-// at fetch time). The candidate slice, the batch, and everything check
-// reads must be treated as read-only shared state.
-func (cfg *LexConfig) verifyStage(qp phoneme.String, threshold float64, cands []lexCand, sigQ int, check func(c *lexCand, st *core.Stats) bool) ([]Row, core.Stats) {
-	phons := make([]phoneme.String, len(cands))
-	for i := range cands {
-		phons[i] = cands[i].phon
+// add keeps row as a candidate if it passes the INLANGUAGES filter and
+// has a phoneme string.
+func (cs *lexCands) add(cfg *LexConfig, row Row, langs core.LangSet) {
+	if nv := row[cfg.NameCol]; nv.T != TNString || !langs.Contains(nv.Lang) {
+		return
 	}
-	batch := cfg.Op.BuildBatch(phons, cfg.Kernel, sigQ)
-	pm := cfg.Op.NewBatchMatcher(qp, threshold, cfg.Kernel)
-	var sf core.SigFilter
-	if sigQ > 0 {
-		sf = cfg.Op.NewSigFilter(qp, threshold, sigQ)
+	if rp, ok := cfg.phonemes(row); ok {
+		cs.rows = append(cs.rows, row.Clone())
+		cs.phons = append(cs.phons, rp)
 	}
-	chunks, st := core.RunMorsels(len(cands), cfg.workers(), func(ln *core.Lane, lo, hi int) []Row {
-		var out []Row
-		for i := lo; i < hi; i++ {
-			c := &cands[i]
-			ln.Stats.Rows++
-			if check != nil && !check(c, &ln.Stats) {
-				continue
-			}
-			if sigQ > 0 && !sf.Admit(batch, i, &ln.Stats) {
-				continue
-			}
-			ln.Stats.Candidates++
-			if pm.Match(batch, i, ln) {
-				out = append(out, c.row)
-			}
+}
+
+// verify hands the fetched candidates to core's selection loop — batch,
+// filter chain, kernel dispatch, morsel-ordered merge — and maps the
+// matches back to rows, in fetch order. sigQ > 0 batches the prefilter
+// columns admit reads.
+func (cfg *LexConfig) verify(qp phoneme.String, threshold float64, cs *lexCands, sigQ int,
+	admit func(b *core.Batch, i int, st *core.Stats) bool) []Row {
+	idx, st := cfg.Op.Verify(qp, threshold, cs.phons, sigQ, admit, core.Parallel(cfg.Workers), core.WithKernel(cfg.Kernel))
+	cfg.record(st)
+	var rows []Row
+	for _, i := range idx {
+		rows = append(rows, cs.rows[i])
+	}
+	return rows
+}
+
+// fetch probes ix for key and passes every row visible under the
+// snapshot to fn (stale index entries and invisible versions are
+// skipped).
+func (cfg *LexConfig) fetch(ix *Index, key uint64, fn func(Row)) error {
+	rids, err := ix.Tree.Lookup(key)
+	if err != nil {
+		return err
+	}
+	for _, packed := range rids {
+		row, err := cfg.Table.GetSnap(cfg.Snap, store.UnpackRID(packed))
+		if errors.Is(err, store.ErrDeleted) {
+			continue
 		}
-		return out
-	})
-	rows := core.MergeChunks(chunks)
-	st.BatchesBuilt++
-	st.Matches = len(rows)
-	return rows, st
+		if err != nil {
+			return err
+		}
+		fn(row)
+	}
+	return nil
 }
 
 // ResolveLexConfig locates the conventional structures for table.
@@ -167,20 +155,12 @@ func ResolveLexConfig(d *DB, table string, op *core.Operator) (*LexConfig, error
 		cfg.AuxID = aux.Columns.ColIndex("id")
 		cfg.AuxPos = aux.Columns.ColIndex("pos")
 		cfg.AuxGram = aux.Columns.ColIndex("qgram")
-		cfg.AuxHash = aux.Columns.ColIndex("gramhash")
 		if cfg.AuxID < 0 || cfg.AuxPos < 0 || cfg.AuxGram < 0 {
 			return nil, fmt.Errorf("db: aux table %s_qgrams has wrong schema", table)
-		}
-		if cfg.AuxHash >= 0 {
-			if ix, ok := d.IndexOn(aux.Name, "gramhash"); ok {
-				cfg.AuxHashIndex = ix
-			}
 		}
 		if ix, ok := d.Index(CoverIndexName(t.Name)); ok {
 			cfg.CoverIndex = ix
 		}
-	} else {
-		cfg.AuxHash = -1
 	}
 	if ix, ok := d.IndexOn(t.Name, "id"); ok {
 		cfg.IDIndex = ix
@@ -218,40 +198,26 @@ func (cfg *LexConfig) phonemes(row Row) (phoneme.String, bool) {
 	return p, true
 }
 
-// langOK applies the INLANGUAGES filter to a row.
-func (cfg *LexConfig) langOK(row Row, langs core.LangSet) bool {
-	nv := row[cfg.NameCol]
-	return nv.T == TNString && langs.Contains(nv.Lang)
-}
-
 // NewLexScanNaive builds the Table-1 plan: a sequential scan invoking
 // the LexEQUAL UDF on every row. The scan fetches and decodes rows
-// serially, then verifies them on the morsel pool (cfg.Workers wide);
-// output order is table scan order regardless of parallelism.
+// serially; core runs the batched signature prefilter and verifies them.
+// Output order is table scan order regardless of parallelism.
 func NewLexScanNaive(cfg *LexConfig, query core.Text, threshold float64, langs core.LangSet) Node {
 	qp, err := cfg.Op.Transform(query.Value, query.Lang)
 	if err != nil {
 		return ErrNode("lexequal: %v", err)
 	}
 	return &lexRowsNode{cols: cfg.Table.Columns, run: func() ([]Row, error) {
-		var cands []lexCand
+		var cs lexCands
 		err := cfg.Table.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
-			if !cfg.langOK(row, langs) {
-				return nil
-			}
-			rp, ok := cfg.phonemes(row)
-			if !ok {
-				return nil
-			}
-			cands = append(cands, lexCand{row: row.Clone(), phon: rp})
+			cs.add(cfg, row, langs)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		rows, st := cfg.verifyStage(qp, threshold, cands, cfg.Q, nil)
-		cfg.record(st)
-		return rows, nil
+		sf := cfg.Op.NewSigFilter(qp, threshold, cfg.Q)
+		return cfg.verify(qp, threshold, &cs, cfg.Q, sf.Admit), nil
 	}}
 }
 
@@ -286,11 +252,51 @@ func (n *lexRowsNode) Next() (Row, error) {
 
 func (n *lexRowsNode) Close() error { return nil }
 
+// probeGrams is the gram join of Figure 14 with the position predicate
+// deferred: the sound position budget slacks by the candidate's weak
+// count, unknown until the candidate row is fetched, so the probe keeps,
+// per base-row id, each matching gram's displacement within the filter's
+// budget cap (core.QGramFilter.Displacement). With the covering index
+// the probe reads (id, pos) pairs straight from the B-tree — a hash
+// collision can only inflate a count, which admits an extra candidate
+// for verification, never a dismissal; without it the probe degrades to
+// an aux-table scan.
+func (cfg *LexConfig) probeGrams(qf *core.QGramFilter) (map[int64][]int32, error) {
+	disps := map[int64][]int32{}
+	note := func(id int64, positions []int, pos int) {
+		if d, ok := qf.Displacement(positions, pos); ok {
+			disps[id] = append(disps[id], d)
+		}
+	}
+	table := qf.Table()
+	if cfg.CoverIndex == nil {
+		err := cfg.Aux.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
+			if positions, ok := table[row[cfg.AuxGram].S]; ok {
+				note(row[cfg.AuxID].I, positions, int(row[cfg.AuxPos].I))
+			}
+			return nil
+		})
+		return disps, err
+	}
+	for key, positions := range table {
+		vals, err := cfg.CoverIndex.Tree.Lookup(uint64(GramHash(key)))
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range vals {
+			id, pos := UnpackCover(v)
+			note(id, positions, pos)
+		}
+	}
+	return disps, nil
+}
+
 // NewLexScanQGram builds the Table-2 plan (Figure 14): probe the
-// auxiliary positional q-gram table with the query's grams, aggregate
-// match counts per row id (position filter inline), apply the length
-// and count filters, fetch surviving candidates via the id index, and
-// verify them with the UDF.
+// positional q-gram structures with the query's grams, fetch the
+// candidates that can reach the filter's minimum shared-gram count via
+// the id index (plus, in the regime where the count filter has no
+// power, the rows the probe never surfaced), and let core apply the
+// length and count filters at each pair's exact budget and verify.
 func NewLexScanQGram(cfg *LexConfig, query core.Text, threshold float64, langs core.LangSet) Node {
 	if cfg.Aux == nil {
 		return ErrNode("lexequal: table %s has no q-gram auxiliary table", cfg.Table.Name)
@@ -303,206 +309,48 @@ func NewLexScanQGram(cfg *LexConfig, query core.Text, threshold float64, langs c
 		if err != nil {
 			return nil, err
 		}
-		enc := soundex.NewEncoder(cfg.Op.Clusters())
-		qproj := enc.Project(qp)
-		qweak := editdist.WeakCount(qp)
-		base := threshold * float64(len(qp))
-		kMax := cfg.Op.SigBudgetCap(base)
-		// Build the query-gram hash (the tiny build side of the gram
-		// join in Figure 14).
-		queryGrams := map[string][]int{}
-		for _, g := range qgram.Extract(qproj, cfg.Q) {
-			queryGrams[g.Key()] = append(queryGrams[g.Key()], g.Pos)
+		qf := cfg.Op.NewQGramFilter(qp, threshold, cfg.Q)
+		disps, err := cfg.probeGrams(&qf)
+		if err != nil {
+			return nil, err
 		}
-		// Probe: the gram join of Figure 14, with the position predicate
-		// deferred. The sound position budget is per pair — it slacks by
-		// the candidate's weak count (core.Operator.SigBudget), unknown
-		// until the candidate row is fetched — so the probe keeps, per
-		// base-row id, each matching gram's best displacement within the
-		// candidate-independent budget cap, and the per-row filter counts
-		// the displacements within the pair's exact budget. With a
-		// gramhash index the probe touches only matching aux rows — the
-		// plan a real optimizer picks for the Figure 14 SQL; without one
-		// it degrades to an aux-table scan.
-		disps := map[int64][]int32{}
-		best := func(positions []int, pos int) int {
-			d := -1
-			for _, qpos := range positions {
-				dd := qpos - pos
-				if dd < 0 {
-					dd = -dd
-				}
-				if d < 0 || dd < d {
-					d = dd
+		var cs lexCands
+		collect := func(row Row) { cs.add(cfg, row, langs) }
+		byIndex, zero := cfg.IDIndex != nil, qf.ZeroGramsCanMatch()
+		if byIndex {
+			minShared := qf.MinShared()
+			ids := make([]int64, 0, len(disps))
+			for id, ds := range disps {
+				if len(ds) >= minShared {
+					ids = append(ids, id)
 				}
 			}
-			return d
-		}
-		note := func(id int64, d int) {
-			if float64(d) <= kMax {
-				disps[id] = append(disps[id], int32(d))
-			}
-		}
-		tally := func(row Row) {
-			positions, ok := queryGrams[row[cfg.AuxGram].S]
-			if !ok {
-				return
-			}
-			note(row[cfg.AuxID].I, best(positions, int(row[cfg.AuxPos].I)))
-		}
-		switch {
-		case cfg.CoverIndex != nil:
-			// Index-only probe: (id, pos) pairs come straight from the
-			// covering index. A hash collision can only inflate a
-			// count, which admits an extra candidate for verification —
-			// never a dismissal.
-			for key, positions := range queryGrams {
-				vals, err := cfg.CoverIndex.Tree.Lookup(uint64(GramHash(key)))
-				if err != nil {
+			slices.Sort(ids)
+			for _, id := range ids {
+				if err := cfg.fetch(cfg.IDIndex, uint64(id), collect); err != nil {
 					return nil, err
 				}
-				for _, v := range vals {
-					id, pos := UnpackCover(v)
-					note(id, best(positions, pos))
-				}
 			}
-		case cfg.AuxHashIndex != nil:
-			for key := range queryGrams {
-				rids, err := cfg.AuxHashIndex.Tree.Lookup(uint64(GramHash(key)))
-				if err != nil {
-					return nil, err
+		}
+		// One scan serves both the plan without an id index (every probed
+		// id) and the residual sweep for zero-gram candidates.
+		if !byIndex || zero {
+			err = cfg.Table.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
+				if _, seen := disps[row[cfg.IDCol].I]; seen && !byIndex || !seen && zero {
+					collect(row)
 				}
-				for _, packed := range rids {
-					row, err := cfg.Aux.GetSnap(cfg.Snap, store.UnpackRID(packed))
-					if errors.Is(err, store.ErrDeleted) {
-						continue // stale index entry or invisible version
-					}
-					if err != nil {
-						return nil, err
-					}
-					tally(row)
-				}
-			}
-		default:
-			err = cfg.Aux.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
-				tally(row)
 				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
 		}
-		// Fetch candidates serially (storage access), then verify on the
-		// morsel pool. With an id index we fetch just the candidates;
-		// otherwise one more scan filters by id.
-		var cands []lexCand
-		collect := func(row Row) {
-			if !cfg.langOK(row, langs) {
-				return
-			}
-			rp, ok := cfg.phonemes(row)
-			if !ok {
-				return
-			}
-			k := cfg.Op.SigBudget(base, qweak+editdist.WeakCount(rp))
-			cnt := 0
-			for _, d := range disps[row[cfg.IDCol].I] {
-				if float64(d) <= k {
-					cnt++
-				}
-			}
-			cands = append(cands, lexCand{row: row.Clone(), phon: rp, count: cnt, plen: len(enc.Project(rp)), kbud: k})
+		// The exact positional filter subsumes the Bloom prefilter; the
+		// batch carries the prefilter columns for its projected lengths.
+		admit := func(b *core.Batch, i int, st *core.Stats) bool {
+			return qf.AdmitWithin(b, i, disps[cs.rows[i][cfg.IDCol].I], st)
 		}
-		// The filters compare projected-space lengths against the
-		// projected-edit budget — same space as core's strategy filters
-		// (raw lengths would over-demand the count threshold by up to the
-		// pair's weak slack).
-		check := func(c *lexCand, st *core.Stats) bool {
-			if !qgram.LengthOK(len(qproj), c.plen, c.kbud) {
-				st.PrunedLength++
-				return false
-			}
-			need := qgram.CountThreshold(len(qproj), c.plen, cfg.Q, c.kbud)
-			if need > 0 && c.count < need {
-				st.PrunedCount++
-				return false
-			}
-			return true
-		}
-		finish := func() ([]Row, error) {
-			// The exact positional gram filter already ran at probe time;
-			// the coarser Bloom prefilter (sigQ > 0) would be redundant.
-			rows, st := cfg.verifyStage(qp, threshold, cands, 0, check)
-			cfg.record(st)
-			return rows, nil
-		}
-		// Candidates sharing no budget-compatible gram can still be true
-		// matches when the count filter has no power at the budget cap
-		// (very short strings, or weak slack swallowing the whole
-		// budget); the per-candidate check re-decides at the pair's
-		// exact budget on collect.
-		zeroCanMatch := math.IsInf(kMax, 1) || qgram.CountThreshold(len(qproj), 0, cfg.Q, kMax) <= 0
-		if cfg.IDIndex != nil {
-			// Prefilter on the count threshold before fetching, at the
-			// candidate-independent budget cap: the smallest admissible
-			// candidate (len(qproj) - kMax projected phonemes) needs at
-			// least minNeed shared grams there, and a pair's exact budget
-			// only tightens that bound.
-			minNeed := 0
-			if !math.IsInf(kMax, 1) {
-				minNeed = qgram.CountThreshold(len(qproj), len(qproj)-int(kMax), cfg.Q, kMax)
-			}
-			ids := make([]int64, 0, len(disps))
-			for id, ds := range disps {
-				if minNeed > 0 && len(ds) < minNeed {
-					continue
-				}
-				ids = append(ids, id)
-			}
-			sortInt64s(ids)
-			for _, id := range ids {
-				rids, err := cfg.IDIndex.Tree.Lookup(uint64(id))
-				if err != nil {
-					return nil, err
-				}
-				for _, packed := range rids {
-					row, err := cfg.Table.GetSnap(cfg.Snap, store.UnpackRID(packed))
-					if errors.Is(err, store.ErrDeleted) {
-						continue
-					}
-					if err != nil {
-						return nil, err
-					}
-					collect(row)
-				}
-			}
-			// Residual sweep for the zero-gram candidates, only in the
-			// regime where they can survive the count filter.
-			if zeroCanMatch {
-				err = cfg.Table.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
-					if _, seen := disps[row[cfg.IDCol].I]; seen {
-						return nil
-					}
-					collect(row)
-					return nil
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-			return finish()
-		}
-		err = cfg.Table.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
-			if _, ok := disps[row[cfg.IDCol].I]; !ok && !zeroCanMatch {
-				return nil
-			}
-			collect(row)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return finish()
+		return cfg.verify(qp, threshold, &cs, cfg.Q, admit), nil
 	}}
 }
 
@@ -518,33 +366,12 @@ func NewLexScanIndexed(cfg *LexConfig, query core.Text, threshold float64, langs
 		if err != nil {
 			return nil, err
 		}
-		enc := soundex.NewEncoder(cfg.Op.Clusters())
-		gid := enc.Encode(qp)
-		rids, err := cfg.GroupIndex.Tree.Lookup(uint64(gid))
-		if err != nil {
+		gid := soundex.NewEncoder(cfg.Op.Clusters()).Encode(qp)
+		var cs lexCands
+		if err := cfg.fetch(cfg.GroupIndex, uint64(gid), func(row Row) { cs.add(cfg, row, langs) }); err != nil {
 			return nil, err
 		}
-		var cands []lexCand
-		for _, packed := range rids {
-			row, err := cfg.Table.GetSnap(cfg.Snap, store.UnpackRID(packed))
-			if errors.Is(err, store.ErrDeleted) {
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			if !cfg.langOK(row, langs) {
-				continue
-			}
-			rp, ok := cfg.phonemes(row)
-			if !ok {
-				continue
-			}
-			cands = append(cands, lexCand{row: row.Clone(), phon: rp})
-		}
-		rows, st := cfg.verifyStage(qp, threshold, cands, 0, nil)
-		cfg.record(st)
-		return rows, nil
+		return cfg.verify(qp, threshold, &cs, 0, nil), nil
 	}}
 }
 
@@ -563,326 +390,66 @@ func JoinKernel(left, right *LexConfig) (core.Kernel, string) {
 	return left.Kernel, ""
 }
 
+// materialize reads every row with a phoneme string into memory, as
+// base rows plus a core.Corpus over their stored phonemes batched under
+// op.
+func (cfg *LexConfig) materialize(op *core.Operator) ([]Row, *core.Corpus, error) {
+	var rows []Row
+	var phons []phoneme.String
+	var langs []script.Language
+	err := cfg.Table.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
+		if rp, ok := cfg.phonemes(row); ok {
+			rows = append(rows, row.Clone())
+			phons = append(phons, rp)
+			langs = append(langs, row[cfg.NameCol].Lang)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := op.NewCorpusPhonemes(phons, langs, cfg.Q)
+	return rows, c, err
+}
+
 // NewLexJoin builds the equi-join plans of Figure 5: every pair of rows
 // from the two tables matching under LexEQUAL (optionally restricted to
-// different languages). Strategy selects the physical shape: Naive is
-// the UDF nested loop of Table 1; QGram probes the right table's aux
-// grams per left row (Table 2); Indexed probes the right table's
-// phonetic index per left row (Table 3). Output rows are the
-// concatenation left ++ right.
+// different languages). Both tables are materialized under their
+// snapshots and joined by core.Join, where strat selects the access
+// path: the UDF nested loop of Table 1, the gram-index probe of Table 2
+// or the phonetic-index probe of Table 3, each over indexes core builds
+// in memory from the rows the snapshot sees. Output rows are the
+// concatenation left ++ right, ordered by (left scan position, right
+// scan position) under every strategy.
 func NewLexJoin(left, right *LexConfig, threshold float64, diffLang bool, strat core.Strategy) Node {
 	cols := append(append(Schema{}, left.Table.Columns...), right.Table.Columns...)
 	kern, _ := JoinKernel(left, right)
 	return &lexRowsNode{cols: cols, run: func() ([]Row, error) {
-		// The probe loop runs on the morsel pool over materialized left
-		// rows (Naive, QGram: all probe state is in-memory and
-		// read-only) or over prefetched candidate pairs (Indexed: the
-		// B-tree probe itself stays on the fetch thread). Morsel-order
-		// merging keeps the output identical to the serial join.
-		concat := func(l, r Row) Row { return append(append(make(Row, 0, len(l)+len(r)), l...), r...) }
-		langClash := func(l, r Row) bool {
-			return diffLang && l[left.NameCol].Lang == r[right.NameCol].Lang
-		}
-		// Materialize the left side once; every strategy probes per left
-		// row.
-		var leftRows []Row
-		var leftPhon []phoneme.String
-		err := left.Table.ScanSnap(left.Snap, func(_ store.RID, row Row) error {
-			lp, ok := left.phonemes(row)
-			if !ok {
-				return nil
-			}
-			leftRows = append(leftRows, row.Clone())
-			leftPhon = append(leftPhon, lp)
-			return nil
-		})
+		// Both sides are batched under the LEFT operator, so the kernel
+		// signatures and projections agree with the model the
+		// verification runs under even when the two configs carry
+		// different operators.
+		lrows, lc, err := left.materialize(left.Op)
 		if err != nil {
 			return nil, err
 		}
-		finish := func(chunks [][]Row, st core.Stats) ([]Row, error) {
-			rows := core.MergeChunks(chunks)
-			st.BatchesBuilt++ // every join shape materializes one right-side batch
-			st.Matches = len(rows)
-			left.record(st)
-			return rows, nil
+		rrows, rc, err := right.materialize(left.Op)
+		if err != nil {
+			return nil, err
 		}
-		// The right side is always (re)batched under the LEFT operator, so
-		// the kernel signatures and projections agree with the model the
-		// verification runs under even when the two configs carry
-		// different operators.
-		switch strat {
-		case core.Naive:
-			// Materialize the right side once (the optimizer's nested
-			// loop of §5.1).
-			var rightRows []Row
-			var rightPhon []phoneme.String
-			err := right.Table.ScanSnap(right.Snap, func(_ store.RID, row Row) error {
-				rp, ok := right.phonemes(row)
-				if !ok {
-					return nil
-				}
-				rightRows = append(rightRows, row.Clone())
-				rightPhon = append(rightPhon, rp)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			rbatch := left.Op.BuildBatch(rightPhon, kern, left.Q)
-			chunks, st := core.RunMorsels(len(leftRows), left.workers(), func(ln *core.Lane, lo, hi int) []Row {
-				pm := left.Op.NewLaneMatcher(ln, kern)
-				var out []Row
-				for i := lo; i < hi; i++ {
-					pm.SetPattern(leftPhon[i], threshold)
-					sf := left.Op.NewSigFilter(leftPhon[i], threshold, left.Q)
-					for j, r := range rightRows {
-						if langClash(leftRows[i], r) {
-							continue
-						}
-						ln.Stats.Rows++
-						if !sf.Admit(rbatch, j, &ln.Stats) {
-							continue
-						}
-						ln.Stats.Candidates++
-						if pm.Match(rbatch, j, ln) {
-							out = append(out, concat(leftRows[i], r))
-						}
-					}
-				}
-				return out
-			})
-			return finish(chunks, st)
-
-		case core.QGram:
-			if right.Aux == nil || right.IDCol < 0 {
-				return nil, fmt.Errorf("lexequal: join target %s lacks q-gram structures", right.Table.Name)
-			}
-			// Build an in-memory gram postings map of the right table
-			// once (equivalent to the aux-aux join of Figure 14 with
-			// the right aux as build side).
-			type post struct {
-				id  int64
-				pos int
-			}
-			postings := map[string][]post{}
-			err := right.Aux.ScanSnap(right.Snap, func(_ store.RID, row Row) error {
-				postings[row[right.AuxGram].S] = append(postings[row[right.AuxGram].S],
-					post{id: row[right.AuxID].I, pos: int(row[right.AuxPos].I)})
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			// Materialize right rows into one flat batch (the projected
-			// lengths the filter chain needs come from the batch columns,
-			// not per-pair re-projection), plus an id -> batch-row map for
-			// candidate fetch and the per-row weak counts the pair budgets
-			// slack by.
-			var rightRows []Row
-			rightIdxByID := map[int64][]int{}
-			var rightPhon []phoneme.String
-			var rightIDs []int64
-			var rightWeak []int
-			err = right.Table.ScanSnap(right.Snap, func(_ store.RID, row Row) error {
-				rp, ok := right.phonemes(row)
-				if !ok {
-					return nil
-				}
-				id := row[right.IDCol].I
-				rightIdxByID[id] = append(rightIdxByID[id], len(rightRows))
-				rightRows = append(rightRows, row.Clone())
-				rightPhon = append(rightPhon, rp)
-				rightIDs = append(rightIDs, id)
-				rightWeak = append(rightWeak, editdist.WeakCount(rp))
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			rbatch := left.Op.BuildBatch(rightPhon, kern, right.Q)
-			enc := soundex.NewEncoder(left.Op.Clusters())
-			// Right rows ordered by weak count (descending): the zero-gram
-			// sweep below visits rows in this order and stops as soon as
-			// the count filter regains power, so glottal-free corpora pay
-			// nothing (same scheme as core.Join's QGram probe).
-			sweepOrder := make([]int, len(rightRows))
-			for j := range sweepOrder {
-				sweepOrder[j] = j
-			}
-			sort.Slice(sweepOrder, func(a, b int) bool {
-				wa, wb := rightWeak[sweepOrder[a]], rightWeak[sweepOrder[b]]
-				if wa != wb {
-					return wa > wb
-				}
-				return sweepOrder[a] < sweepOrder[b]
-			})
-			chunks, st := core.RunMorsels(len(leftRows), left.workers(), func(ln *core.Lane, lo, hi int) []Row {
-				pm := left.Op.NewLaneMatcher(ln, kern)
-				var out []Row
-				for i := lo; i < hi; i++ {
-					lp := leftPhon[i]
-					pm.SetPattern(lp, threshold)
-					lproj := enc.Project(lp)
-					lweak := editdist.WeakCount(lp)
-					base := threshold * float64(len(lp))
-					kMax := left.Op.SigBudgetCap(base)
-					// Probe the postings with the position predicate
-					// deferred: budgets are per pair (SigBudget slacks by
-					// both weak counts) under the LEFT operator's model, so
-					// the probe keeps each posting's best displacement
-					// within the candidate-independent cap and the per-pair
-					// filter counts those within the exact budget.
-					leftGrams := map[string][]int{}
-					for _, g := range qgram.Extract(lproj, right.Q) {
-						leftGrams[g.Key()] = append(leftGrams[g.Key()], g.Pos)
-					}
-					dlist := map[int64][]int32{}
-					for key, positions := range leftGrams {
-						for _, p := range postings[key] {
-							d := -1
-							for _, qpos := range positions {
-								dd := qpos - p.pos
-								if dd < 0 {
-									dd = -dd
-								}
-								if d < 0 || dd < d {
-									d = dd
-								}
-							}
-							if float64(d) <= kMax {
-								dlist[p.id] = append(dlist[p.id], int32(d))
-							}
-						}
-					}
-					tryRow := func(j int, ds []int32) {
-						r := rightRows[j]
-						if langClash(leftRows[i], r) {
-							return
-						}
-						ln.Stats.Rows++
-						k := left.Op.SigBudget(base, lweak+rightWeak[j])
-						if !qgram.LengthOK(len(lproj), rbatch.ProjLen(j), k) {
-							ln.Stats.PrunedLength++
-							return
-						}
-						need := qgram.CountThreshold(len(lproj), rbatch.ProjLen(j), right.Q, k)
-						if need > 0 {
-							cnt := 0
-							for _, d := range ds {
-								if float64(d) <= k {
-									cnt++
-								}
-							}
-							if cnt < need {
-								ln.Stats.PrunedCount++
-								return
-							}
-						}
-						ln.Stats.Candidates++
-						if pm.Match(rbatch, j, ln) {
-							out = append(out, concat(leftRows[i], r))
-						}
-					}
-					ids := make([]int64, 0, len(dlist))
-					for id := range dlist {
-						ids = append(ids, id)
-					}
-					sortInt64s(ids)
-					for _, id := range ids {
-						for _, j := range rightIdxByID[id] {
-							tryRow(j, dlist[id])
-						}
-					}
-					// Zero-gram sweep: rows sharing no budget-compatible
-					// gram can still match when the count filter has no
-					// power for the pair; visit in descending weak order,
-					// stopping once the filter regains power.
-					if math.IsInf(kMax, 1) || qgram.CountThreshold(len(lproj), 0, right.Q, kMax) <= 0 {
-						for _, j := range sweepOrder {
-							if qgram.CountThreshold(len(lproj), 0, right.Q, left.Op.SigBudget(base, lweak+rightWeak[j])) > 0 {
-								break
-							}
-							if _, seen := dlist[rightIDs[j]]; !seen {
-								tryRow(j, nil)
-							}
-						}
-					}
-				}
-				return out
-			})
-			return finish(chunks, st)
-
-		case core.Indexed:
-			if right.GroupIndex == nil {
-				return nil, fmt.Errorf("lexequal: join target %s lacks a phonetic index", right.Table.Name)
-			}
-			enc := soundex.NewEncoder(right.Op.Clusters())
-			// Prefetch candidate pairs on this thread (B-tree probe +
-			// heap fetch), then verify on the pool.
-			type pairCand struct {
-				li int
-				r  Row
-				rp phoneme.String
-			}
-			var cands []pairCand
-			for i, lp := range leftPhon {
-				rids, err := right.GroupIndex.Tree.Lookup(uint64(enc.Encode(lp)))
-				if err != nil {
-					return nil, err
-				}
-				for _, packed := range rids {
-					r, err := right.Table.GetSnap(right.Snap, store.UnpackRID(packed))
-					if errors.Is(err, store.ErrDeleted) {
-						continue
-					}
-					if err != nil {
-						return nil, err
-					}
-					rp, ok := right.phonemes(r)
-					if !ok {
-						continue
-					}
-					if langClash(leftRows[i], r) {
-						continue
-					}
-					cands = append(cands, pairCand{li: i, r: r.Clone(), rp: rp})
-				}
-			}
-			phons := make([]phoneme.String, len(cands))
-			for i := range cands {
-				phons[i] = cands[i].rp
-			}
-			cbatch := left.Op.BuildBatch(phons, kern, 0)
-			chunks, st := core.RunMorsels(len(cands), left.workers(), func(ln *core.Lane, lo, hi int) []Row {
-				pm := left.Op.NewLaneMatcher(ln, kern)
-				lastLi := -1
-				var out []Row
-				for i := lo; i < hi; i++ {
-					c := &cands[i]
-					// Candidates were prefetched in left-row order, so the
-					// pattern only re-prepares on a left-row change.
-					if c.li != lastLi {
-						pm.SetPattern(leftPhon[c.li], threshold)
-						lastLi = c.li
-					}
-					ln.Stats.Rows++
-					ln.Stats.Candidates++
-					if pm.Match(cbatch, i, ln) {
-						out = append(out, concat(leftRows[c.li], c.r))
-					}
-				}
-				return out
-			})
-			return finish(chunks, st)
-
-		default:
-			return nil, fmt.Errorf("lexequal: unknown strategy %v", strat)
+		pairs, st, err := core.Join(lc, rc, threshold, diffLang, strat, core.Parallel(left.Workers), core.WithKernel(kern))
+		if err != nil {
+			return nil, fmt.Errorf("lexequal: %w", err)
 		}
+		st.BatchesBuilt += 2
+		left.record(st)
+		var out []Row
+		for _, p := range pairs {
+			l, r := lrows[p.Left], rrows[p.Right]
+			out = append(out, append(append(make(Row, 0, len(l)+len(r)), l...), r...))
+		}
+		return out, nil
 	}}
-}
-
-func sortInt64s(xs []int64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
 // RegisterLexEqualUDF installs the lexequal(name, query, threshold) UDF

@@ -1,12 +1,18 @@
 package db
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"lexequal/internal/core"
+	"lexequal/internal/dataset"
+	"lexequal/internal/phoneme"
 	"lexequal/internal/script"
+	"lexequal/internal/soundex"
+	"lexequal/internal/ttp"
 )
 
 func lexFixture(t *testing.T) (*DB, *LexConfig, *core.Operator) {
@@ -65,6 +71,46 @@ func TestLoaderLayout(t *testing.T) {
 	// Other rows carry IPA that parses.
 	if rows[4][cfg.PhonCol].S == "" {
 		t.Error("English row lacks pname")
+	}
+}
+
+// TestLegacyGramHashIndexIgnored: directories loaded before the loader
+// stopped building <table>_qgrams_hash_idx still carry it; they must
+// open, and the plans must neither need nor trip over it.
+func TestLegacyGramHashIndexIgnored(t *testing.T) {
+	d, cfg, op := lexFixture(t)
+	if _, ok := d.Index("names_qgrams_hash_idx"); ok {
+		t.Fatal("the loader still builds the unused gramhash index")
+	}
+	if _, err := d.CreateIndex("names_qgrams_hash_idx", "names_qgrams", "gramhash"); err != nil {
+		t.Fatal(err)
+	}
+	dir := d.dir
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, ok := d.Index("names_qgrams_hash_idx"); !ok {
+		t.Fatal("the legacy index did not survive reopen; the test proves nothing")
+	}
+	legacy, err := ResolveLexConfig(d, "names", op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.CoverIndex == nil || legacy.IDIndex == nil {
+		t.Fatal("reopened config lost the indexes the q-gram plan reads")
+	}
+	q := core.Text{Value: "Nehru", Lang: script.English}
+	rows, err := Collect(NewLexScanQGram(legacy, q, 0.30, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(rows, cfg.IDCol); !reflect.DeepEqual(got, []int64{1, 3, 4, 5}) {
+		t.Errorf("q-gram scan over a legacy directory = %v, want [1 3 4 5]", got)
 	}
 }
 
@@ -171,6 +217,102 @@ func TestLexScanErrsWithoutStructures(t *testing.T) {
 	}
 }
 
+// mixedLexFixture loads a seeded sample of the multiscript evaluation
+// lexicon (English, Hindi, Tamil; two morsels' worth of rows). Names
+// whose IPA text does not survive the store's render/parse round trip
+// are left out, so the db plans (which read stored IPA) and an in-memory
+// core.Corpus (which transforms the names) see identical phonemes.
+func mixedLexFixture(t *testing.T) (*LexConfig, []core.Text) {
+	t.Helper()
+	op := core.MustNew(core.Options{})
+	lex, err := dataset.BuildLexicon(ttp.Default(), dataset.SourceAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := lex.Texts()
+	rng := rand.New(rand.NewSource(22))
+	var texts []core.Text
+	for _, i := range rng.Perm(len(all)) {
+		p, err := op.Transform(all[i].Value, all[i].Lang)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(phoneme.ParseLenient(p.IPA()), p) {
+			texts = append(texts, all[i])
+		}
+		if len(texts) == 2*core.MorselSize-100 {
+			break
+		}
+	}
+	cfg, err := CreateNameTable(openDB(t), "mixed", op, texts, NameTableSpec{WithAux: true, WithIndexes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, texts
+}
+
+// assertPlansMatchCore is the differential oracle between the storage
+// plans and the in-memory engine they feed: under every strategy,
+// kernel and width, NewLexScan* returns exactly the ids Corpus.Select
+// returns (for Indexed: core's indexed result, false dismissals
+// included) and NewLexJoin exactly core.Join's pairs, in its order.
+func assertPlansMatchCore(t *testing.T, cfg *LexConfig, texts, queries []core.Text, thr float64, diffLang bool) {
+	t.Helper()
+	corpus, err := cfg.Op.NewCorpusQ(texts, cfg.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scans := map[core.Strategy]func(*LexConfig, core.Text, float64, core.LangSet) Node{
+		core.Naive: NewLexScanNaive, core.QGram: NewLexScanQGram, core.Indexed: NewLexScanIndexed,
+	}
+	w := len(cfg.Table.Columns)
+	for _, strat := range []core.Strategy{core.Naive, core.QGram, core.Indexed} {
+		for _, kern := range []core.Kernel{core.KernelScalar, core.KernelBitvec} {
+			for _, workers := range []int{1, 4} {
+				run := *cfg
+				run.Kernel, run.Workers = kern, workers
+				opts := []core.ExecOption{core.WithKernel(kern), core.Parallel(workers)}
+				name := fmt.Sprintf("%v/%v/workers=%d", strat, kern, workers)
+				for _, q := range queries {
+					rows, err := Collect(scans[strat](&run, q, thr, nil))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, _, err := corpus.Select(q, thr, nil, strat, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := []int{}
+					for _, id := range ids(rows, cfg.IDCol) {
+						got = append(got, int(id))
+					}
+					if !reflect.DeepEqual(got, append([]int{}, want...)) {
+						t.Errorf("%s scan %v: plan ids %v != core %v", name, q, got, want)
+					}
+				}
+				rows, err := Collect(NewLexJoin(&run, &run, thr, diffLang, strat))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := core.Join(corpus, corpus, thr, diffLang, strat, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []core.Pair
+				for _, r := range rows {
+					got = append(got, core.Pair{Left: int(r[cfg.IDCol].I), Right: int(r[w+cfg.IDCol].I)})
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s join: plan returns %d pairs, core %d (or in another order)", name, len(got), len(want))
+				}
+				if len(want) < len(queries) {
+					t.Errorf("%s join: only %d pairs, the fixture is too sparse to tell plans apart", name, len(want))
+				}
+			}
+		}
+	}
+}
+
 func TestLexJoinStrategies(t *testing.T) {
 	_, cfg, _ := lexFixture(t)
 	type pair struct{ l, r int64 }
@@ -210,6 +352,44 @@ func TestLexJoinStrategies(t *testing.T) {
 	if len(idx) == 0 {
 		t.Error("indexed join found nothing")
 	}
+
+	// A row committed after the load is invisible to <table>_qgrams and
+	// the covering index, which only the bulk loader fills; the q-gram
+	// join reads neither, so it must still equal the naive join. (The
+	// row is glottal-free on purpose: the count filter has power for it,
+	// so no zero-gram sweep can stumble on it.)
+	p, err := cfg.Op.Transform("गांधी", script.Hindi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := cfg.Table.db.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gid := soundex.NewEncoder(cfg.Op.Clusters()).Encode(p)
+	if _, err := cfg.Table.InsertTx(tx, Row{Int(12), NStr("गांधी", script.Hindi), Str(p.IPA()), Int(int64(gid))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	naive = collect(core.Naive)
+	if !naive[pair{6, 12}] || !naive[pair{12, 8}] {
+		t.Fatalf("naive join does not pair the inserted row with Gandhi: %v", naive)
+	}
+	if qg := collect(core.QGram); !reflect.DeepEqual(naive, qg) {
+		t.Errorf("after an insert the qgram join differs from naive:\nnaive %v\nqgram %v", naive, qg)
+	}
+
+	// The plans against the in-memory engine, on a lexicon wide enough
+	// to span morsels.
+	mixed, texts := mixedLexFixture(t)
+	rng := rand.New(rand.NewSource(5))
+	var queries []core.Text
+	for _, i := range rng.Perm(len(texts))[:8] {
+		queries = append(queries, texts[i])
+	}
+	assertPlansMatchCore(t, mixed, texts, queries, 0.25, true)
 }
 
 func TestLexJoinWithoutDiffLang(t *testing.T) {
@@ -290,7 +470,7 @@ func TestLexEqualUDF(t *testing.T) {
 // weakLexFixture loads the glottal-heavy lexicon whose cheap
 // projection-shifting edits (/ha/~/ka/) regressed the unslacked q-gram
 // strategy budget; see core's weakCatalog twin.
-func weakLexFixture(t *testing.T) (*DB, *LexConfig) {
+func weakLexFixture(t *testing.T) (*LexConfig, []core.Text) {
 	t.Helper()
 	d := openDB(t)
 	op := core.MustNew(core.Options{})
@@ -305,7 +485,7 @@ func weakLexFixture(t *testing.T) (*DB, *LexConfig) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, cfg
+	return cfg, texts
 }
 
 // TestLexScanQGramWeakLexicon is the db-plan half of the budget-slack
@@ -313,7 +493,7 @@ func weakLexFixture(t *testing.T) (*DB, *LexConfig) {
 // the weak-phoneme lexicon (the scan plan budgets per pair at collect
 // time, the join plan per probe posting).
 func TestLexScanQGramWeakLexicon(t *testing.T) {
-	_, cfg := weakLexFixture(t)
+	cfg, texts := weakLexFixture(t)
 	for _, w := range []string{"Ha", "Ka", "Hahn", "Khan", "Aha", "Oh", "Koko"} {
 		q := core.Text{Value: w, Lang: script.English}
 		for _, thr := range []float64{0.1, 0.3, 0.5} {
@@ -361,6 +541,9 @@ func TestLexScanQGramWeakLexicon(t *testing.T) {
 	if !naive[pair{0, 1}] {
 		t.Error("naive join missing the /ha/~/ka/ pair itself")
 	}
+	// Every plan equals the in-memory engine on the weak lexicon too,
+	// every name of it as a query.
+	assertPlansMatchCore(t, cfg, texts, texts, 0.30, false)
 }
 
 // TestJoinKernelCrossModel asserts the EXPLAIN-facing contract: a join

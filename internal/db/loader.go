@@ -177,9 +177,6 @@ func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text,
 			return nil, err
 		}
 		if spec.WithAux {
-			if _, err := d.CreateIndex(name+"_qgrams_hash_idx", name+"_qgrams", "gramhash"); err != nil {
-				return nil, err
-			}
 			// Covering index: gramhash -> (id, pos) packed into the
 			// value, so the gram probe never touches the aux heap (the
 			// index-only plan a real optimizer would use for Figure 14).

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,6 +84,36 @@ func TestExplainShowsParallelism(t *testing.T) {
 	exp = mustExec(t, s, q)
 	if !strings.Contains(exp.Rows[0][0].S, "[parallelism: 4]") {
 		t.Errorf("EXPLAIN = %v", exp.Rows[0][0].S)
+	}
+}
+
+// TestParallelismZeroIsGOMAXPROCS pins SET parallelism = 0 to what the
+// docs say: the plan runs GOMAXPROCS wide (core resolves the width; that
+// its verification loop then uses that many lanes is core's
+// TestVerifyWidthZeroIsGOMAXPROCS), EXPLAIN prints the width the plan
+// uses rather than the setting, and the rows do not change.
+func TestParallelismZeroIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	s := newTestSession(t)
+	loadNames(t, s)
+	sel := `SELECT id FROM names WHERE name LEXEQUAL 'Nehru' THRESHOLD 0.30`
+	join := `select N1.id, N2.id from names N1, names N2 where N1.name LexEQUAL N2.name Threshold 0.30`
+	for _, strat := range []string{"naive", "qgram", "indexed"} {
+		mustExec(t, s, `SET lexequal_strategy = `+strat)
+		mustExec(t, s, `SET parallelism = 1`)
+		serialSel, serialJoin := mustExec(t, s, sel), mustExec(t, s, join)
+		mustExec(t, s, `SET parallelism = 0`)
+		for _, q := range []string{sel, join} {
+			if plan := mustExec(t, s, `EXPLAIN `+q).Rows[0][0].S; !strings.Contains(plan, "[parallelism: 3]") {
+				t.Errorf("%s: EXPLAIN at parallelism 0 under GOMAXPROCS 3 = %q", strat, plan)
+			}
+		}
+		if got := mustExec(t, s, sel); !reflect.DeepEqual(got.Rows, serialSel.Rows) {
+			t.Errorf("%s select at parallelism 0 diverges from serial", strat)
+		}
+		if got := mustExec(t, s, join); !reflect.DeepEqual(got.Rows, serialJoin.Rows) {
+			t.Errorf("%s join at parallelism 0 diverges from serial", strat)
+		}
 	}
 }
 

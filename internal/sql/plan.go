@@ -263,15 +263,17 @@ type planInfo struct {
 }
 
 // configureLex applies the session execution knobs to a resolved
-// LexConfig and notes them for EXPLAIN. The kernel shown is the
-// model-level resolution (a pattern longer than one machine word still
-// falls back to scalar per query at runtime).
+// LexConfig and notes them for EXPLAIN. The parallelism shown is the
+// pool width the plan runs at (SET parallelism = 0 resolves to
+// GOMAXPROCS); the kernel shown is the model-level resolution (a
+// pattern longer than one machine word still falls back to scalar per
+// query at runtime).
 func (s *Session) configureLex(cfg *db.LexConfig, info *planInfo) {
 	cfg.Workers = s.Parallelism
 	cfg.Counters = &s.Pipeline
 	cfg.Kernel = s.Kernel
 	cfg.Snap = s.snap
-	info.parallelism = s.Parallelism
+	info.parallelism = core.ResolveWorkers(s.Parallelism)
 	info.kernel = s.Op.ResolveKernel(s.Kernel).String()
 }
 

@@ -420,7 +420,7 @@ func (s *Session) exec(stmt Stmt) (*Result, error) {
 			return nil, err
 		}
 		plan := fmt.Sprintf("%s [lexequal strategy: %s]", info.shape, info.strategy)
-		if info.parallelism > 1 || info.parallelism == 0 {
+		if info.parallelism > 1 {
 			plan += fmt.Sprintf(" [parallelism: %d]", info.parallelism)
 		}
 		if info.kernel != "" {
