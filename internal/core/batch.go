@@ -7,24 +7,37 @@ import (
 )
 
 // Column is a flat columnar vector of phoneme strings: one contiguous
-// buffer plus a (rows+1)-entry offsets array, so row i occupies
-// buf[offs[i]:offs[i+1]]. Views alias the shared buffer (read-only by
-// contract) and a zero-length row views as nil, mirroring the
-// row-at-a-time representation where absent transforms are nil strings.
+// buffer plus an offsets array with one more entry than rows, so row i
+// occupies buf[offs[i-base]:offs[i-base+1]]. Views alias the shared
+// buffer (read-only by contract) and a zero-length row views as nil,
+// mirroring the row-at-a-time representation where absent transforms
+// are nil strings. base is the global index of the column's first row:
+// zero for a whole batch, a morsel's lower bound for the lane-private
+// column a scan fills and verifies one morsel at a time.
 type Column struct {
 	buf  []phoneme.Phoneme
 	offs []int32
+	base int
 }
 
-// Append adds one row. Appending invalidates previously taken views
-// (the buffer may move), so builders append everything first and view
-// after.
-func (c *Column) Append(s phoneme.String) {
+// reset empties the column, keeping its storage, to hold rows from
+// global index base on.
+func (c *Column) reset(base int) {
+	c.buf, c.offs, c.base = c.buf[:0], c.offs[:0], base
+}
+
+// appendFrom adds src's row i, written straight into the buffer, and
+// returns a view of it. Appending invalidates previously taken views
+// (the buffer may move), so builders append a whole range first and
+// view after.
+func (c *Column) appendFrom(src PhonemeSource, i int) phoneme.String {
 	if len(c.offs) == 0 {
 		c.offs = append(c.offs, 0)
 	}
-	c.buf = append(c.buf, s...)
+	lo := len(c.buf)
+	c.buf = src(c.buf, i)
 	c.offs = append(c.offs, int32(len(c.buf)))
+	return c.buf[lo:]
 }
 
 // Len returns the number of rows.
@@ -39,7 +52,7 @@ func (c *Column) Len() int {
 // three-index slice caps the view so even an appending caller could not
 // scribble past a row's end into its neighbor.
 func (c *Column) View(i int) phoneme.String {
-	lo, hi := c.offs[i], c.offs[i+1]
+	lo, hi := c.offs[i-c.base], c.offs[i-c.base+1]
 	if lo == hi {
 		return nil
 	}
@@ -47,7 +60,7 @@ func (c *Column) View(i int) phoneme.String {
 }
 
 // RowLen returns row i's length without materializing a view.
-func (c *Column) RowLen(i int) int { return int(c.offs[i+1] - c.offs[i]) }
+func (c *Column) RowLen(i int) int { return int(c.offs[i-c.base+1] - c.offs[i-c.base]) }
 
 // Batch is the flat columnar form of a candidate set: the phoneme rows
 // in one contiguous buffer plus the per-row scalars the bit-parallel
@@ -73,39 +86,82 @@ func (b *Batch) View(i int) phoneme.String { return b.phon.View(i) }
 // the batch was built with the prefilter columns (sigQ > 0).
 func (b *Batch) ProjLen(i int) int { return int(b.plen[i]) }
 
-// BuildBatch materializes rows into a flat columnar batch. The kernel
-// signature column is built when k requests the bit-parallel kernel and
-// the operator's cost model compiles; sigQ > 0 additionally builds the
-// signature-prefilter columns (projected lengths and q-gram Bloom
-// signatures at gram length sigQ). Rows may be nil (NORESOURCE or
-// empty); they round-trip as nil views.
+// PhonemeSource supplies the rows a batch is built from: it appends row
+// i's phoneme string to dst and returns the extended slice (nothing
+// appended is a NORESOURCE or empty row). Calls for different rows may
+// run concurrently, so it may only read what it shares.
+type PhonemeSource func(dst phoneme.String, i int) phoneme.String
+
+// batchBuilder is the one place a batch's per-row columns are computed.
+// The scalar columns are allocated for all n rows up front and indexed
+// globally; fill may then run on disjoint row ranges from different
+// lanes, each appending the phonemes to a column of its own.
+type batchBuilder struct {
+	op   *Operator
+	kern *editdist.Bitvec // nil = no kernel signature column
+	sigQ int              // 0 = no prefilter columns
+	cols Batch            // the scalar columns; phon unused
+}
+
+// newBatchBuilder sizes the scalar columns of an n-row batch. The
+// kernel signature column is built when k requests the bit-parallel
+// kernel and the operator's cost model compiles; sigQ > 0 additionally
+// builds the signature-prefilter columns (projected lengths and q-gram
+// Bloom signatures at gram length sigQ).
+func (op *Operator) newBatchBuilder(n int, k Kernel, sigQ int) *batchBuilder {
+	bb := &batchBuilder{op: op, kern: op.compileKernel(k), sigQ: sigQ}
+	bb.cols.wk = make([]int32, n)
+	if bb.kern != nil {
+		bb.cols.ksig = make([]uint64, n)
+	}
+	if sigQ > 0 {
+		bb.cols.plen = make([]int32, n)
+		bb.cols.gsig = make([]uint64, n)
+	}
+	return bb
+}
+
+// fill appends rows [lo, hi) of src to phon and computes their scalar
+// columns; proj is the caller's projection scratch.
+func (bb *batchBuilder) fill(phon *Column, proj *phoneme.String, src PhonemeSource, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p := phon.appendFrom(src, i)
+		bb.cols.wk[i] = int32(editdist.WeakCount(p))
+		if bb.kern != nil {
+			bb.cols.ksig[i] = bb.kern.CandSig(p)
+		}
+		if bb.sigQ > 0 {
+			*proj = bb.op.encoder.AppendProject((*proj)[:0], p)
+			bb.cols.plen[i] = int32(len(*proj))
+			bb.cols.gsig[i] = qgram.Signature(*proj, bb.sigQ)
+		}
+	}
+}
+
+// BuildBatch materializes rows into a flat columnar batch (columns as
+// for newBatchBuilder). Rows may be nil (NORESOURCE or empty); they
+// round-trip as nil views.
 func (op *Operator) BuildBatch(rows []phoneme.String, k Kernel, sigQ int) *Batch {
-	b := &Batch{wk: make([]int32, len(rows))}
 	total := 0
 	for _, p := range rows {
 		total += len(p)
 	}
-	b.phon.buf = make([]phoneme.Phoneme, 0, total)
-	b.phon.offs = make([]int32, 0, len(rows)+1)
-	kern := op.compileKernel(k)
-	if kern != nil {
-		b.ksig = make([]uint64, len(rows))
-	}
-	if sigQ > 0 {
-		b.plen = make([]int32, len(rows))
-		b.gsig = make([]uint64, len(rows))
-	}
-	for i, p := range rows {
-		b.phon.Append(p)
-		b.wk[i] = int32(editdist.WeakCount(p))
-		if kern != nil {
-			b.ksig[i] = kern.CandSig(p)
-		}
-		if sigQ > 0 {
-			pr := op.encoder.Project(p)
-			b.plen[i] = int32(len(pr))
-			b.gsig[i] = qgram.Signature(pr, sigQ)
-		}
-	}
-	return b
+	return op.buildBatch(len(rows), sliceSource(rows), k, sigQ, total)
+}
+
+// buildBatch is the builder run inline over all n rows of src into one
+// column, presized for phonemes phonemes in all.
+func (op *Operator) buildBatch(n int, src PhonemeSource, k Kernel, sigQ, phonemes int) *Batch {
+	bb := op.newBatchBuilder(n, k, sigQ)
+	b := bb.cols // the batch outlives the builder: share the columns, not the struct
+	b.phon.buf = make([]phoneme.Phoneme, 0, phonemes)
+	b.phon.offs = make([]int32, 0, n+1)
+	var proj phoneme.String
+	bb.fill(&b.phon, &proj, src, 0, n)
+	return &b
+}
+
+// sliceSource serves rows already in memory.
+func sliceSource(rows []phoneme.String) PhonemeSource {
+	return func(dst phoneme.String, i int) phoneme.String { return append(dst, rows[i]...) }
 }

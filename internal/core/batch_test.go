@@ -264,3 +264,41 @@ func TestJoinCrossModelFallsBackToScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyBuildsPerMorselLikeWholeBatch: Verify never materializes the
+// candidate batch — each morsel fills a lane-private phoneme column and
+// its range of the shared scalar columns — yet for every kernel and pool
+// width every candidate must be filtered and verified as if against
+// BuildBatch's whole batch: the columns admit sees, the matches and the
+// raw Stats all equal the inline whole-batch run's.
+func TestVerifyBuildsPerMorselLikeWholeBatch(t *testing.T) {
+	op := newOp(t)
+	rows := batchRows(t, op)
+	qp, err := op.Transform("Nehru", "english")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range kernelChoices() {
+		whole := op.BuildBatch(rows, k, DefaultQ)
+		sf := op.NewSigFilter(qp, 0.3, DefaultQ)
+		pm := op.NewBatchMatcher(qp, 0.3, k)
+		want, wantSt := verify(len(rows), func(*Lane, int, int) *Batch { return whole }, nil, pm, 1, nil, sf.Admit)
+		wantSt.BatchesBuilt++
+		if len(want) == 0 || wantSt.PrunedSig == 0 {
+			t.Fatalf("kernel %v: degenerate reference (%d matches, %+v)", k, len(want), wantSt)
+		}
+		for _, w := range workerCounts() {
+			admit := func(b *Batch, i int, st *Stats) bool {
+				if !b.View(i).Equal(whole.View(i)) || b.wk[i] != whole.wk[i] || b.plen[i] != whole.plen[i] ||
+					b.gsig[i] != whole.gsig[i] || (whole.ksig != nil && b.ksig[i] != whole.ksig[i]) {
+					t.Errorf("kernel %v workers %d: row %d's columns differ from the whole batch's", k, w, i)
+				}
+				return sf.Admit(b, i, st)
+			}
+			got, st := op.Verify(qp, 0.3, len(rows), sliceSource(rows), DefaultQ, admit, Parallel(w), WithKernel(k))
+			if !reflect.DeepEqual(got, want) || st != wantSt {
+				t.Errorf("kernel %v workers %d: Verify = %v %+v, whole-batch reference %v %+v", k, w, got, st, want, wantSt)
+			}
+		}
+	}
+}

@@ -173,6 +173,10 @@ func (op *Operator) Registry() *ttp.Registry { return op.registry }
 // Clusters exposes the phoneme partition in use.
 func (op *Operator) Clusters() *phoneme.Clusters { return op.clusters }
 
+// Encoder exposes the operator's projection/grouping encoder over
+// Clusters (read-only, shared).
+func (op *Operator) Encoder() *soundex.Encoder { return op.encoder }
+
 // Cost exposes the cost model (for benchmarks and explain output).
 func (op *Operator) Cost() editdist.CostModel { return op.cost }
 

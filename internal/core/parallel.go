@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"lexequal/internal/editdist"
+	"lexequal/internal/phoneme"
 )
 
 // ExecOption tunes how a strategy executes (it never changes what the
@@ -74,6 +75,13 @@ type Lane struct {
 	// first use; bvInit caches the "model does not compile" nil too.
 	bv     *editdist.Bitvec
 	bvInit bool
+
+	// batch is the lane-private batch of a storage-fed scan: the scan's
+	// shared scalar columns plus this lane's own phoneme column, refilled
+	// for each morsel the lane claims; proj is the builder's projection
+	// scratch.
+	batch Batch
+	proj  phoneme.String
 }
 
 // kernel returns the lane-private bit-parallel kernel, compiling it

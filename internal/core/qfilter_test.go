@@ -164,7 +164,7 @@ func TestVerifyWidthZeroIsGOMAXPROCS(t *testing.T) {
 		}
 		return true
 	}
-	idx, st := op.Verify(phoneme.MustParse("neːru"), 0.25, cands, 0, admit, Parallel(0))
+	idx, st := op.Verify(phoneme.MustParse("neːru"), 0.25, len(cands), sliceSource(cands), 0, admit, Parallel(0))
 	if len(lanes) != width {
 		t.Errorf("Parallel(0) verified on %d lanes, want %d", len(lanes), width)
 	}

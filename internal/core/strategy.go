@@ -165,6 +165,9 @@ func (op *Operator) NewCorpus(texts []Text) (*Corpus, error) {
 
 // NewCorpusQ is NewCorpus with an explicit q-gram length (q >= 2).
 func (op *Operator) NewCorpusQ(texts []Text, q int) (*Corpus, error) {
+	if err := checkQ(q); err != nil {
+		return nil, err
+	}
 	phons := make([]phoneme.String, len(texts))
 	var skipped []int
 	for i, t := range texts {
@@ -178,52 +181,54 @@ func (op *Operator) NewCorpusQ(texts []Text, q int) (*Corpus, error) {
 		}
 		phons[i] = p
 	}
-	c, err := op.newCorpus(texts, phons, q)
-	if err != nil {
-		return nil, err
-	}
+	c := op.newCorpus(texts, op.BuildBatch(phons, KernelAuto, q), q)
 	c.skipped = skipped
 	return c, nil
 }
 
 // NewCorpusPhonemes builds a corpus over rows that are already phoneme
-// strings (a stored pname column), tagged with their languages; no TTP
-// runs. Zero-length rows never match, like NORESOURCE rows.
-func (op *Operator) NewCorpusPhonemes(phons []phoneme.String, langs []script.Language, q int) (*Corpus, error) {
-	if len(langs) != len(phons) {
-		return nil, fmt.Errorf("core: %d phoneme rows but %d language tags", len(phons), len(langs))
+// strings (a stored pname column), supplied by src and tagged with
+// their languages; no TTP runs. Zero-length rows never match, like
+// NORESOURCE rows.
+func (op *Operator) NewCorpusPhonemes(src PhonemeSource, langs []script.Language, q int) (*Corpus, error) {
+	if err := checkQ(q); err != nil {
+		return nil, err
 	}
-	texts := make([]Text, len(phons))
+	texts := make([]Text, len(langs))
 	for i, l := range langs {
 		texts[i].Lang = l
 	}
-	return op.newCorpus(texts, phons, q)
+	return op.newCorpus(texts, op.buildBatch(len(langs), src, KernelAuto, q, 0), q), nil
 }
 
-// newCorpus materializes the columnar batch once with every column the
-// strategies can consume — transforms, weak counts, kernel signatures
-// (when the cost model bit-parallelizes), projected lengths and Bloom
-// signatures — so scans at any kernel setting share one read-only batch
-// and the per-candidate hot path never makes an interface call or
-// allocates.
-func (op *Operator) newCorpus(texts []Text, phons []phoneme.String, q int) (*Corpus, error) {
+func checkQ(q int) error {
 	if q < 2 {
-		return nil, fmt.Errorf("core: q must be >= 2, got %d", q)
+		return fmt.Errorf("core: q must be >= 2, got %d", q)
 	}
+	return nil
+}
+
+// newCorpus wraps the columnar batch of the rows, materialized once
+// (KernelAuto, sigQ = q) with every column the strategies can consume —
+// transforms, weak counts, kernel signatures (when the cost model
+// bit-parallelizes), projected lengths and Bloom signatures — so scans
+// at any kernel setting share one read-only batch and the per-candidate
+// hot path never makes an interface call or allocates.
+func (op *Operator) newCorpus(texts []Text, batch *Batch, q int) *Corpus {
 	c := &Corpus{
 		op:      op,
 		q:       q,
 		texts:   texts,
-		batch:   op.BuildBatch(phons, KernelAuto, q),
+		batch:   batch,
 		grouped: make(map[soundex.GroupedID][]int),
 	}
-	for i, p := range phons {
-		if len(p) > 0 {
+	for i := range texts {
+		if p := batch.View(i); len(p) > 0 {
 			id := op.encoder.Encode(p)
 			c.grouped[id] = append(c.grouped[id], i)
 		}
 	}
-	return c, nil
+	return c
 }
 
 // gramIndex returns the positional q-gram index, building it on first
@@ -288,14 +293,17 @@ func (c *Corpus) Skipped() []int { return c.skipped }
 func (c *Corpus) Q() int { return c.q }
 
 // verify is the selection loop every plan shares: candidate j of n is
-// batch row rowAt(j) (nil: row j itself); rows the source skips are
+// row rowAt(j) (nil: row j itself) of the batch batchFor returns for the
+// morsel — the same read-only batch every time for a corpus, the lane's
+// freshly filled one for a storage-fed scan. Rows the source skips are
 // never counted, every other row is counted, run through the plan's
 // filter chain (nil admits everything; a false return must account for
 // itself in a Pruned counter), and verified by the kernel dispatcher on
 // the morsel pool. Output is in candidate order at any width.
-func verify(b *Batch, n int, rowAt func(j int) int, pm *BatchMatcher, workers int,
+func verify(n int, batchFor func(ln *Lane, lo, hi int) *Batch, rowAt func(j int) int, pm *BatchMatcher, workers int,
 	skip func(i int) bool, admit func(b *Batch, i int, st *Stats) bool) ([]int, Stats) {
 	chunks, st := RunMorsels(n, workers, func(ln *Lane, lo, hi int) []int {
+		b := batchFor(ln, lo, hi)
 		var out []int
 		for j := lo; j < hi; j++ {
 			i := j
@@ -321,17 +329,28 @@ func verify(b *Batch, n int, rowAt func(j int) int, pm *BatchMatcher, workers in
 	return out, st
 }
 
-// Verify is the selection loop for candidates fetched from storage:
-// cands is batched under op (sigQ > 0 adds the prefilter columns the
-// SigFilter and QGramFilter chains read), every candidate is counted,
-// filtered by admit and verified against qp; the indexes of the matches
-// come back in candidate order. admit and everything it reads are
-// shared read-only across the pool.
-func (op *Operator) Verify(qp phoneme.String, threshold float64, cands []phoneme.String, sigQ int,
+// Verify is the selection loop for n candidates fetched from storage,
+// whose phoneme strings src supplies (sigQ > 0 adds the prefilter
+// columns the SigFilter and QGramFilter chains read). Nothing is
+// batched up front: each morsel asks src for its own rows, fills its
+// range of the batch columns, and then counts, filters (admit) and
+// verifies that range against qp, so tokenizing and signature building
+// divide by the pool width like the kernel does. Row indexes stay
+// global throughout; the indexes of the matches come back in candidate
+// order. src, admit and everything they read are shared read-only
+// across the pool.
+func (op *Operator) Verify(qp phoneme.String, threshold float64, n int, src PhonemeSource, sigQ int,
 	admit func(b *Batch, i int, st *Stats) bool, opts ...ExecOption) ([]int, Stats) {
 	o := resolveOpts(opts)
-	b := op.BuildBatch(cands, o.kernel, sigQ)
-	out, st := verify(b, b.Len(), nil, op.NewBatchMatcher(qp, threshold, o.kernel), o.workers, nil, admit)
+	bb := op.newBatchBuilder(n, o.kernel, sigQ)
+	fill := func(ln *Lane, lo, hi int) *Batch {
+		b := &ln.batch
+		b.wk, b.ksig, b.plen, b.gsig = bb.cols.wk, bb.cols.ksig, bb.cols.plen, bb.cols.gsig
+		b.phon.reset(lo)
+		bb.fill(&b.phon, &ln.proj, src, lo, hi)
+		return b
+	}
+	out, st := verify(n, fill, nil, op.NewBatchMatcher(qp, threshold, o.kernel), o.workers, nil, admit)
 	st.BatchesBuilt++
 	return out, st
 }
@@ -358,6 +377,7 @@ func (c *Corpus) Select(query Text, threshold float64, langs LangSet, strat Stra
 	skip := func(i int) bool {
 		return c.batch.phon.RowLen(i) == 0 || !langs.Contains(c.texts[i].Lang)
 	}
+	whole := func(*Lane, int, int) *Batch { return c.batch }
 	var out []int
 	var st Stats
 	switch strat {
@@ -366,14 +386,14 @@ func (c *Corpus) Select(query Text, threshold float64, langs LangSet, strat Stra
 		// paying for verification: Candidates undercounts Rows by exactly
 		// PrunedSig.
 		sf := c.op.NewSigFilter(qp, threshold, c.q)
-		out, st = verify(c.batch, c.Len(), nil, pm, o.workers, skip, sf.Admit)
+		out, st = verify(c.Len(), whole, nil, pm, o.workers, skip, sf.Admit)
 	case QGram:
 		// Figure 14: the inverted index supplies position-filtered gram
 		// counts in one probe pass; the scan then runs the length and
 		// count filters (counts is read-only by then).
 		f := c.op.NewQGramFilter(qp, threshold, c.q)
 		counts := c.gramCounts(&f)
-		out, st = verify(c.batch, c.Len(), nil, pm, o.workers, skip, func(b *Batch, i int, s *Stats) bool {
+		out, st = verify(c.Len(), whole, nil, pm, o.workers, skip, func(b *Batch, i int, s *Stats) bool {
 			return f.Admit(b, i, counts[i], s)
 		})
 	case Indexed:
@@ -381,7 +401,7 @@ func (c *Corpus) Select(query Text, threshold float64, langs LangSet, strat Stra
 		// signature. Fast, with false dismissals for matches whose edits
 		// cross cluster boundaries.
 		group := c.grouped[c.op.encoder.Encode(qp)]
-		out, st = verify(c.batch, len(group), func(j int) int { return group[j] }, pm, o.workers, skip, nil)
+		out, st = verify(len(group), whole, func(j int) int { return group[j] }, pm, o.workers, skip, nil)
 	default:
 		return nil, Stats{}, fmt.Errorf("core: unknown strategy %v", strat)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"sync"
 
 	"lexequal/internal/core"
 	"lexequal/internal/metrics"
@@ -59,11 +60,13 @@ type LexConfig struct {
 	// transaction's snapshot like any other read.
 	Snap *Snap
 
-	// Workers sets the verification parallelism of the lex nodes:
-	// candidates are fetched from storage serially (the storage layer is
-	// single-threaded), then core verifies them on a morsel pool of this
-	// width (core.Parallel). 1 is serial, 0 means GOMAXPROCS; results
-	// are identical at any width.
+	// Workers sets the parallelism of the lex nodes. Page access stays on
+	// the calling goroutine — it walks the heap or probes the indexes and
+	// copies each visible candidate's record into an arena — and
+	// everything after that (locating and tokenizing the stored phonemes,
+	// the batch columns, the filters, the kernel) runs per morsel on a
+	// core pool of this width (core.Parallel). 1 runs the same code
+	// inline, 0 means GOMAXPROCS; results are identical at any width.
 	Workers int
 	// Kernel selects the verification kernel (SET lexequal_kernel).
 	// Auto engages the bit-parallel kernel whenever the operator's cost
@@ -81,59 +84,210 @@ func (cfg *LexConfig) record(st core.Stats) {
 	}
 }
 
-// lexCands is what a select source fetched: base rows and their decoded
-// phonemes, index-aligned.
+// lexFields is what the lex plans read of an encoded row without
+// decoding it; the byte slices alias the row body.
+type lexFields struct {
+	id     int64 // the id column's value when it holds an INT, else 0
+	named  bool  // the name column holds an NSTRING: name and lang are set
+	name   []byte
+	lang   []byte
+	stored bool // the pname column holds a STRING: phon is set
+	phon   []byte
+}
+
+// locate finds the fields in an encoded row body by walking its type
+// bytes and length prefixes; it fails exactly where DecodeRow would.
+func (cfg *LexConfig) locate(body []byte) (lexFields, error) {
+	var f lexFields
+	err := walkRow(body, len(cfg.Table.Columns), func(i int, t Type, bits uint64, s, lang []byte) {
+		if i == cfg.IDCol && t == TInt {
+			f.id = int64(bits)
+		}
+		if i == cfg.NameCol && t == TNString {
+			f.named, f.name, f.lang = true, s, lang
+		}
+		if i == cfg.PhonCol && t == TString {
+			f.stored, f.phon = true, s
+		}
+	})
+	return f, err
+}
+
+// lexCand places one candidate in the arena: where its record body
+// lies in lexCands.buf and, relative to the body, its stored phonemes
+// and language tag.
+type lexCand struct {
+	body, size    int
+	phon, phonLen int32 // phon < 0: no stored pname, see lexCands.extra
+	lang, langLen int32
+	id            int64
+}
+
+// lexCands is what a source fetched: an arena of the raw record bodies
+// of the candidates — rows the snapshot sees, in a language the query
+// asks for, that have a phoneme string. The fetching goroutine does the
+// page access, the visibility check and one copy per row; tokenizing
+// the stored phonemes is left to the verification pool (phonemes) and
+// only matches are ever decoded (row).
 type lexCands struct {
-	rows  []Row
-	phons []phoneme.String
+	cfg   *LexConfig
+	langs core.LangSet
+	buf   []byte
+	rows  []lexCand
+	// extra holds the phonemes of candidates with no stored pname (NULL,
+	// or a table without the column): their names transformed as they
+	// were added, so a failed transform drops the row before it is
+	// counted.
+	extra map[int]phoneme.String
 }
 
-// add keeps row as a candidate if it passes the INLANGUAGES filter and
-// has a phoneme string.
-func (cs *lexCands) add(cfg *LexConfig, row Row, langs core.LangSet) {
-	if nv := row[cfg.NameCol]; nv.T != TNString || !langs.Contains(nv.Lang) {
-		return
+// candsPool recycles arenas across queries: a scan's arena is as large
+// as the heap it read, and allocating and zeroing one per query was
+// most of a scan's garbage.
+var candsPool = sync.Pool{New: func() any { return new(lexCands) }}
+
+// newCands readies an arena for about expect candidates of the table.
+// The caller releases it once the matches are decoded.
+func (cfg *LexConfig) newCands(langs core.LangSet, expect int) *lexCands {
+	cs := candsPool.Get().(*lexCands)
+	cs.cfg, cs.langs = cfg, langs
+	count := int(cfg.Table.Count())
+	if expect > count {
+		expect = count
 	}
-	if rp, ok := cfg.phonemes(row); ok {
-		cs.rows = append(cs.rows, row.Clone())
-		cs.phons = append(cs.phons, rp)
+	if expect > cap(cs.rows) {
+		cs.rows = make([]lexCand, 0, expect)
 	}
+	if expect > 0 {
+		// The heap's size over its row count bounds the mean record from
+		// above, so a full scan never regrows the arena.
+		heap := int(cfg.Table.Heap.Pager().NumPages()) * store.PageSize
+		if need := heap / count * expect; need > cap(cs.buf) {
+			cs.buf = make([]byte, 0, need)
+		}
+	}
+	return cs
 }
 
-// verify hands the fetched candidates to core's selection loop — batch,
-// filter chain, kernel dispatch, morsel-ordered merge — and maps the
-// matches back to rows, in fetch order. sigQ > 0 batches the prefilter
-// columns admit reads.
-func (cfg *LexConfig) verify(qp phoneme.String, threshold float64, cs *lexCands, sigQ int,
-	admit func(b *core.Batch, i int, st *core.Stats) bool) []Row {
-	idx, st := cfg.Op.Verify(qp, threshold, cs.phons, sigQ, admit, core.Parallel(cfg.Workers), core.WithKernel(cfg.Kernel))
-	cfg.record(st)
-	var rows []Row
-	for _, i := range idx {
-		rows = append(rows, cs.rows[i])
-	}
-	return rows
+// release returns the arena's storage for the next query; nothing may
+// alias it any longer (decoded rows do not).
+func (cs *lexCands) release() {
+	*cs = lexCands{buf: cs.buf[:0], rows: cs.rows[:0]}
+	candsPool.Put(cs)
 }
 
-// fetch probes ix for key and passes every row visible under the
-// snapshot to fn (stale index entries and invisible versions are
-// skipped).
-func (cfg *LexConfig) fetch(ix *Index, key uint64, fn func(Row)) error {
+// add keeps the row encoded in body as a candidate if it passes the
+// INLANGUAGES filter, has a phoneme string and (want non-nil) want
+// accepts its id. body is copied; it may alias a pinned page.
+func (cs *lexCands) add(body []byte, want func(id int64) bool) error {
+	f, err := cs.cfg.locate(body)
+	if err != nil {
+		return err
+	}
+	if !f.named || cs.langs != nil && !cs.langs[script.Language(f.lang)] {
+		return nil
+	}
+	if want != nil && !want(f.id) {
+		return nil
+	}
+	// A field is a subslice of body, so the capacities differ by its offset.
+	at := func(field []byte) int32 { return int32(cap(body) - cap(field)) }
+	c := lexCand{
+		body: len(cs.buf), size: len(body), id: f.id,
+		phon: -1, lang: at(f.lang), langLen: int32(len(f.lang)),
+	}
+	if f.stored {
+		c.phon, c.phonLen = at(f.phon), int32(len(f.phon))
+	} else {
+		p, err := cs.cfg.Op.Transform(string(f.name), script.Language(f.lang))
+		if err != nil {
+			return nil
+		}
+		if cs.extra == nil {
+			cs.extra = map[int]phoneme.String{}
+		}
+		cs.extra[len(cs.rows)] = p
+	}
+	cs.buf = append(cs.buf, body...)
+	cs.rows = append(cs.rows, c)
+	return nil
+}
+
+// scan adds every row of the table the snapshot sees (and want accepts).
+func (cs *lexCands) scan(want func(id int64) bool) error {
+	t := cs.cfg.Table
+	return t.scanBodies(cs.cfg.Snap, func(rid store.RID, body []byte) error {
+		if err := cs.add(body, want); err != nil {
+			return fmt.Errorf("db: %s at %v: %w", t.Name, rid, err)
+		}
+		return nil
+	})
+}
+
+// fetch probes ix for key and adds every row visible under the snapshot
+// (stale index entries and invisible versions are skipped).
+func (cs *lexCands) fetch(ix *Index, key uint64) error {
 	rids, err := ix.Tree.Lookup(key)
 	if err != nil {
 		return err
 	}
 	for _, packed := range rids {
-		row, err := cfg.Table.GetSnap(cfg.Snap, store.UnpackRID(packed))
+		body, err := cs.cfg.Table.getBody(cs.cfg.Snap, store.UnpackRID(packed))
 		if errors.Is(err, store.ErrDeleted) {
 			continue
 		}
 		if err != nil {
 			return err
 		}
-		fn(row)
+		if err := cs.add(body, nil); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// phonemes is the core.PhonemeSource over the arena: candidate i's
+// stored IPA text tokenized straight from its record into dst.
+func (cs *lexCands) phonemes(dst phoneme.String, i int) phoneme.String {
+	c := &cs.rows[i]
+	if c.phon < 0 {
+		return append(dst, cs.extra[i]...)
+	}
+	lo := c.body + int(c.phon)
+	return phoneme.AppendParseLenient(dst, cs.buf[lo:lo+int(c.phonLen)])
+}
+
+// lang returns candidate i's language tag, aliasing the arena.
+func (cs *lexCands) lang(i int) []byte {
+	c := &cs.rows[i]
+	lo := c.body + int(c.lang)
+	return cs.buf[lo : lo+int(c.langLen)]
+}
+
+// row decodes candidate i.
+func (cs *lexCands) row(i int) (Row, error) {
+	c := &cs.rows[i]
+	return DecodeRow(cs.buf[c.body:c.body+c.size], len(cs.cfg.Table.Columns))
+}
+
+// verify hands the fetched candidates to core's selection loop — per
+// morsel: tokenize, batch, filter chain, kernel dispatch; then the
+// morsel-ordered merge — and decodes the matches, in fetch order.
+// sigQ > 0 batches the prefilter columns admit reads.
+func (cs *lexCands) verify(qp phoneme.String, threshold float64, sigQ int,
+	admit func(b *core.Batch, i int, st *core.Stats) bool) ([]Row, error) {
+	cfg := cs.cfg
+	idx, st := cfg.Op.Verify(qp, threshold, len(cs.rows), cs.phonemes, sigQ, admit, core.Parallel(cfg.Workers), core.WithKernel(cfg.Kernel))
+	cfg.record(st)
+	var rows []Row
+	for _, i := range idx {
+		row, err := cs.row(i)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // ResolveLexConfig locates the conventional structures for table.
@@ -181,43 +335,24 @@ func GramHash(key string) int64 {
 	return int64(h.Sum64() & 0x7FFFFFFFFFFFFFFF)
 }
 
-// phonemes decodes the stored phonemic string of a row, falling back to
-// transforming the name when no pname column exists.
-func (cfg *LexConfig) phonemes(row Row) (phoneme.String, bool) {
-	if cfg.PhonCol >= 0 && row[cfg.PhonCol].T == TString {
-		return phoneme.ParseLenient(row[cfg.PhonCol].S), true
-	}
-	nv := row[cfg.NameCol]
-	if nv.T != TNString {
-		return nil, false
-	}
-	p, err := cfg.Op.Transform(nv.S, nv.Lang)
-	if err != nil {
-		return nil, false
-	}
-	return p, true
-}
-
 // NewLexScanNaive builds the Table-1 plan: a sequential scan invoking
-// the LexEQUAL UDF on every row. The scan fetches and decodes rows
-// serially; core runs the batched signature prefilter and verifies them.
-// Output order is table scan order regardless of parallelism.
+// the LexEQUAL UDF on every row. The scan copies the visible rows'
+// records into the arena; core tokenizes them, runs the batched
+// signature prefilter and verifies them, morsel by morsel. Output order
+// is table scan order regardless of parallelism.
 func NewLexScanNaive(cfg *LexConfig, query core.Text, threshold float64, langs core.LangSet) Node {
 	qp, err := cfg.Op.Transform(query.Value, query.Lang)
 	if err != nil {
 		return ErrNode("lexequal: %v", err)
 	}
 	return &lexRowsNode{cols: cfg.Table.Columns, run: func() ([]Row, error) {
-		var cs lexCands
-		err := cfg.Table.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
-			cs.add(cfg, row, langs)
-			return nil
-		})
-		if err != nil {
+		cs := cfg.newCands(langs, int(cfg.Table.Count()))
+		defer cs.release()
+		if err := cs.scan(nil); err != nil {
 			return nil, err
 		}
 		sf := cfg.Op.NewSigFilter(qp, threshold, cfg.Q)
-		return cfg.verify(qp, threshold, &cs, cfg.Q, sf.Admit), nil
+		return cs.verify(qp, threshold, cfg.Q, sf.Admit)
 	}}
 }
 
@@ -314,32 +449,31 @@ func NewLexScanQGram(cfg *LexConfig, query core.Text, threshold float64, langs c
 		if err != nil {
 			return nil, err
 		}
-		var cs lexCands
-		collect := func(row Row) { cs.add(cfg, row, langs) }
 		byIndex, zero := cfg.IDIndex != nil, qf.ZeroGramsCanMatch()
+		var ids []int64
 		if byIndex {
 			minShared := qf.MinShared()
-			ids := make([]int64, 0, len(disps))
+			ids = make([]int64, 0, len(disps))
 			for id, ds := range disps {
 				if len(ds) >= minShared {
 					ids = append(ids, id)
 				}
 			}
 			slices.Sort(ids)
-			for _, id := range ids {
-				if err := cfg.fetch(cfg.IDIndex, uint64(id), collect); err != nil {
-					return nil, err
-				}
+		}
+		cs := cfg.newCands(langs, len(ids))
+		defer cs.release()
+		for _, id := range ids {
+			if err := cs.fetch(cfg.IDIndex, uint64(id)); err != nil {
+				return nil, err
 			}
 		}
 		// One scan serves both the plan without an id index (every probed
 		// id) and the residual sweep for zero-gram candidates.
 		if !byIndex || zero {
-			err = cfg.Table.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
-				if _, seen := disps[row[cfg.IDCol].I]; seen && !byIndex || !seen && zero {
-					collect(row)
-				}
-				return nil
+			err = cs.scan(func(id int64) bool {
+				_, seen := disps[id]
+				return seen && !byIndex || !seen && zero
 			})
 			if err != nil {
 				return nil, err
@@ -348,9 +482,9 @@ func NewLexScanQGram(cfg *LexConfig, query core.Text, threshold float64, langs c
 		// The exact positional filter subsumes the Bloom prefilter; the
 		// batch carries the prefilter columns for its projected lengths.
 		admit := func(b *core.Batch, i int, st *core.Stats) bool {
-			return qf.AdmitWithin(b, i, disps[cs.rows[i][cfg.IDCol].I], st)
+			return qf.AdmitWithin(b, i, disps[cs.rows[i].id], st)
 		}
-		return cfg.verify(qp, threshold, &cs, cfg.Q, admit), nil
+		return cs.verify(qp, threshold, cfg.Q, admit)
 	}}
 }
 
@@ -366,12 +500,13 @@ func NewLexScanIndexed(cfg *LexConfig, query core.Text, threshold float64, langs
 		if err != nil {
 			return nil, err
 		}
-		gid := soundex.NewEncoder(cfg.Op.Clusters()).Encode(qp)
-		var cs lexCands
-		if err := cfg.fetch(cfg.GroupIndex, uint64(gid), func(row Row) { cs.add(cfg, row, langs) }); err != nil {
+		gid := cfg.Op.Encoder().Encode(qp)
+		cs := cfg.newCands(langs, 0)
+		defer cs.release()
+		if err := cs.fetch(cfg.GroupIndex, uint64(gid)); err != nil {
 			return nil, err
 		}
-		return cfg.verify(qp, threshold, &cs, 0, nil), nil
+		return cs.verify(qp, threshold, 0, nil)
 	}}
 }
 
@@ -390,26 +525,33 @@ func JoinKernel(left, right *LexConfig) (core.Kernel, string) {
 	return left.Kernel, ""
 }
 
-// materialize reads every row with a phoneme string into memory, as
-// base rows plus a core.Corpus over their stored phonemes batched under
-// op.
-func (cfg *LexConfig) materialize(op *core.Operator) ([]Row, *core.Corpus, error) {
-	var rows []Row
-	var phons []phoneme.String
-	var langs []script.Language
-	err := cfg.Table.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
-		if rp, ok := cfg.phonemes(row); ok {
-			rows = append(rows, row.Clone())
-			phons = append(phons, rp)
-			langs = append(langs, row[cfg.NameCol].Lang)
-		}
-		return nil
-	})
-	if err != nil {
+// materialize reads every row with a phoneme string into an arena (the
+// caller's to release) and builds a core.Corpus over their stored
+// phonemes, batched under op.
+func (cfg *LexConfig) materialize(op *core.Operator) (*lexCands, *core.Corpus, error) {
+	cs := cfg.newCands(nil, int(cfg.Table.Count()))
+	if err := cs.scan(nil); err != nil {
+		cs.release()
 		return nil, nil, err
 	}
-	c, err := op.NewCorpusPhonemes(phons, langs, cfg.Q)
-	return rows, c, err
+	// A table holds a handful of languages: share one tag among its rows.
+	tags := map[string]script.Language{}
+	langs := make([]script.Language, len(cs.rows))
+	for i := range langs {
+		b := cs.lang(i)
+		l, ok := tags[string(b)]
+		if !ok {
+			l = script.Language(b)
+			tags[string(l)] = l
+		}
+		langs[i] = l
+	}
+	c, err := op.NewCorpusPhonemes(cs.phonemes, langs, cfg.Q)
+	if err != nil {
+		cs.release()
+		return nil, nil, err
+	}
+	return cs, c, nil
 }
 
 // NewLexJoin builds the equi-join plans of Figure 5: every pair of rows
@@ -429,14 +571,16 @@ func NewLexJoin(left, right *LexConfig, threshold float64, diffLang bool, strat 
 		// signatures and projections agree with the model the
 		// verification runs under even when the two configs carry
 		// different operators.
-		lrows, lc, err := left.materialize(left.Op)
+		lcs, lc, err := left.materialize(left.Op)
 		if err != nil {
 			return nil, err
 		}
-		rrows, rc, err := right.materialize(left.Op)
+		defer lcs.release()
+		rcs, rc, err := right.materialize(left.Op)
 		if err != nil {
 			return nil, err
 		}
+		defer rcs.release()
 		pairs, st, err := core.Join(lc, rc, threshold, diffLang, strat, core.Parallel(left.Workers), core.WithKernel(kern))
 		if err != nil {
 			return nil, fmt.Errorf("lexequal: %w", err)
@@ -445,8 +589,15 @@ func NewLexJoin(left, right *LexConfig, threshold float64, diffLang bool, strat 
 		left.record(st)
 		var out []Row
 		for _, p := range pairs {
-			l, r := lrows[p.Left], rrows[p.Right]
-			out = append(out, append(append(make(Row, 0, len(l)+len(r)), l...), r...))
+			l, err := lcs.row(p.Left)
+			if err != nil {
+				return nil, err
+			}
+			r, err := rcs.row(p.Right)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, append(l, r...))
 		}
 		return out, nil
 	}}

@@ -389,6 +389,16 @@ func (t *Table) claimRow(tx *Tx, rid store.RID) error {
 // GetSnap fetches the row at rid as snapshot s sees it; a version
 // outside the snapshot reports store.ErrDeleted, same as a tombstone.
 func (t *Table) GetSnap(s *Snap, rid store.RID) (Row, error) {
+	body, err := t.getBody(s, rid)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeRow(body, len(t.Columns))
+}
+
+// getBody is GetSnap short of decoding: the encoded row body, in a
+// buffer the caller owns.
+func (t *Table) getBody(s *Snap, rid store.RID) ([]byte, error) {
 	rec, err := t.Heap.Get(rid)
 	if err != nil {
 		return nil, err
@@ -400,12 +410,25 @@ func (t *Table) GetSnap(s *Snap, rid store.RID) (Row, error) {
 	if !t.db.visible(s, xmin, xmax) {
 		return nil, fmt.Errorf("db: %s at %v: %w", t.Name, rid, store.ErrDeleted)
 	}
-	return DecodeRow(body, len(t.Columns))
+	return body, nil
 }
 
 // ScanSnap invokes fn for each row snapshot s sees, in RID order.
 func (t *Table) ScanSnap(s *Snap, fn func(rid store.RID, row Row) error) error {
 	n := len(t.Columns)
+	return t.scanBodies(s, func(rid store.RID, body []byte) error {
+		row, err := DecodeRow(body, n)
+		if err != nil {
+			return fmt.Errorf("db: %s at %v: %w", t.Name, rid, err)
+		}
+		return fn(rid, row)
+	})
+}
+
+// scanBodies is ScanSnap short of decoding: fn sees the encoded body of
+// each row in the snapshot, aliasing the pinned page — valid only until
+// fn returns.
+func (t *Table) scanBodies(s *Snap, fn func(rid store.RID, body []byte) error) error {
 	return t.Heap.Scan(func(rid store.RID, rec []byte) error {
 		xmin, xmax, body, err := splitVersion(rec)
 		if err != nil {
@@ -414,11 +437,7 @@ func (t *Table) ScanSnap(s *Snap, fn func(rid store.RID, row Row) error) error {
 		if !t.db.visible(s, xmin, xmax) {
 			return nil
 		}
-		row, err := DecodeRow(body, n)
-		if err != nil {
-			return fmt.Errorf("db: %s at %v: %w", t.Name, rid, err)
-		}
-		return fn(rid, row)
+		return fn(rid, body)
 	})
 }
 

@@ -238,66 +238,87 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// DecodeRow deserializes a row of n values.
-func DecodeRow(buf []byte, n int) (Row, error) {
-	row := make(Row, 0, n)
+// walkRow is the single reader of the Row.Encode layout: it hands the n
+// values of an encoded row to visit in order, materializing nothing —
+// by type, the fixed-width payload bits (TInt, TFloat) or the string
+// payload and, for TNString, the language tag, both aliasing buf — and
+// rejects rows that are damaged or end early or late. DecodeRow and the
+// lex plans' field locator both sit on it, so they accept and reject
+// exactly the same bytes.
+func walkRow(buf []byte, n int, visit func(i int, t Type, bits uint64, s, lang []byte)) error {
 	off := 0
-	readStr := func() (string, error) {
+	readStr := func() ([]byte, error) {
 		if off+4 > len(buf) {
-			return "", fmt.Errorf("db: truncated string length")
+			return nil, fmt.Errorf("db: truncated string length")
 		}
 		l := int(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
-		if off+l > len(buf) {
-			return "", fmt.Errorf("db: truncated string payload")
+		if l > len(buf)-off {
+			return nil, fmt.Errorf("db: truncated string payload")
 		}
-		s := string(buf[off : off+l])
+		s := buf[off : off+l]
 		off += l
 		return s, nil
 	}
 	for i := 0; i < n; i++ {
 		if off >= len(buf) {
-			return nil, fmt.Errorf("db: truncated row (value %d of %d)", i, n)
+			return fmt.Errorf("db: truncated row (value %d of %d)", i, n)
 		}
 		t := Type(buf[off])
 		off++
+		var bits uint64
+		var s, lang []byte
+		var err error
+		switch t {
+		case TNull:
+		case TInt, TFloat:
+			if off+8 > len(buf) {
+				if t == TInt {
+					return fmt.Errorf("db: truncated int")
+				}
+				return fmt.Errorf("db: truncated float")
+			}
+			bits = binary.LittleEndian.Uint64(buf[off:])
+			off += 8
+		case TString:
+			s, err = readStr()
+		case TNString:
+			if s, err = readStr(); err == nil {
+				lang, err = readStr()
+			}
+		default:
+			return fmt.Errorf("db: unknown value type %d", t)
+		}
+		if err != nil {
+			return err
+		}
+		visit(i, t, bits, s, lang)
+	}
+	if off != len(buf) {
+		return fmt.Errorf("db: %d trailing bytes after row", len(buf)-off)
+	}
+	return nil
+}
+
+// DecodeRow deserializes a row of n values.
+func DecodeRow(buf []byte, n int) (Row, error) {
+	row := make(Row, 0, n)
+	err := walkRow(buf, n, func(_ int, t Type, bits uint64, s, lang []byte) {
 		switch t {
 		case TNull:
 			row = append(row, Null())
 		case TInt:
-			if off+8 > len(buf) {
-				return nil, fmt.Errorf("db: truncated int")
-			}
-			row = append(row, Int(int64(binary.LittleEndian.Uint64(buf[off:]))))
-			off += 8
+			row = append(row, Int(int64(bits)))
 		case TFloat:
-			if off+8 > len(buf) {
-				return nil, fmt.Errorf("db: truncated float")
-			}
-			row = append(row, Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))))
-			off += 8
+			row = append(row, Float(math.Float64frombits(bits)))
 		case TString:
-			s, err := readStr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, Str(s))
+			row = append(row, Str(string(s)))
 		case TNString:
-			s, err := readStr()
-			if err != nil {
-				return nil, err
-			}
-			lang, err := readStr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, NStr(s, script.Language(lang)))
-		default:
-			return nil, fmt.Errorf("db: unknown value type %d", t)
+			row = append(row, NStr(string(s), script.Language(lang)))
 		}
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("db: %d trailing bytes after row", len(buf)-off)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return row, nil
 }

@@ -92,11 +92,17 @@ func NewClusteredWeak(c *phoneme.Clusters, icsc, weakIndel float64) (Clustered, 
 }
 
 // weak reports whether p is a weak phoneme for indel discounting
-// (glottal consonants).
-func weak(p phoneme.Phoneme) bool {
-	f := p.Features()
-	return f.Class == phoneme.Consonant && f.Place == phoneme.Glottal
-}
+// (glottal consonants). Scans count weak phonemes once per stored
+// phoneme, so the feature test is tabulated over the inventory.
+func weak(p phoneme.Phoneme) bool { return weakTab[p] }
+
+var weakTab = func() (t [256]bool) {
+	for _, p := range phoneme.All() {
+		f := p.Features()
+		t[p] = f.Class == phoneme.Consonant && f.Place == phoneme.Glottal
+	}
+	return t
+}()
 
 func (c Clustered) indel(p phoneme.Phoneme) float64 {
 	if c.WeakIndel > 0 && weak(p) {

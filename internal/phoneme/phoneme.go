@@ -146,9 +146,36 @@ var inventory = []info{{}}
 // byIPA maps the IPA spelling of each phoneme to its handle.
 var byIPA = map[string]Phoneme{}
 
-// maxSymbolLen is the longest IPA spelling in bytes (for the
-// longest-match tokenizer).
-var maxSymbolLen int
+// trieNode is one state of the tokenizer's automaton: a byte-level trie
+// over every spelling in byIPA, aliases included.
+type trieNode struct {
+	next [256]uint8 // successor state per input byte; 0 = no edge
+	p    Phoneme    // the phoneme spelled by the path to this state, or Invalid
+}
+
+// trie is compiled as the inventory registers. State 0 is the root,
+// which no edge leads back to; states are uint8 so that indexing the
+// fixed array needs no bounds check in the tokenizer's inner loop.
+var (
+	trie     [256]trieNode
+	trieSize = 1
+)
+
+func trieInsert(spelling string, p Phoneme) {
+	var n uint8
+	for i := 0; i < len(spelling); i++ {
+		c := spelling[i]
+		if trie[n].next[c] == 0 {
+			if trieSize == len(trie) {
+				panic("phoneme: tokenizer trie overflow")
+			}
+			trie[n].next[c] = uint8(trieSize)
+			trieSize++
+		}
+		n = trie[n].next[c]
+	}
+	trie[n].p = p
+}
 
 func register(ipa string, f Features) Phoneme {
 	if _, dup := byIPA[ipa]; dup {
@@ -160,9 +187,7 @@ func register(ipa string, f Features) Phoneme {
 	p := Phoneme(len(inventory))
 	inventory = append(inventory, info{ipa: ipa, f: f})
 	byIPA[ipa] = p
-	if len(ipa) > maxSymbolLen {
-		maxSymbolLen = len(ipa)
-	}
+	trieInsert(ipa, p)
 	return p
 }
 
@@ -177,9 +202,7 @@ func alias(spelling, canonical string) {
 		panic("phoneme: duplicate alias " + spelling)
 	}
 	byIPA[spelling] = p
-	if len(spelling) > maxSymbolLen {
-		maxSymbolLen = len(spelling)
-	}
+	trieInsert(spelling, p)
 }
 
 // Lookup returns the phoneme whose IPA spelling is exactly ipa.
@@ -302,8 +325,8 @@ func (s String) Compare(t String) int {
 // other unknown rune is an error.
 func Parse(ipa string) (String, error) {
 	s, bad := parse(ipa)
-	if bad != "" {
-		return nil, fmt.Errorf("phoneme: unknown IPA symbol %q in %q", bad, ipa)
+	if bad >= 0 {
+		return nil, fmt.Errorf("phoneme: unknown IPA symbol %q in %q", string(bad), ipa)
 	}
 	return s, nil
 }
@@ -317,6 +340,14 @@ func ParseLenient(ipa string) String {
 	return s
 }
 
+// AppendParseLenient is ParseLenient over raw bytes, appending to dst:
+// a scan tokenizes stored IPA straight out of a record into storage it
+// owns, allocating neither a Go string nor an output slice per row.
+func AppendParseLenient(dst String, ipa []byte) String {
+	dst, _ = appendParse(dst, ipa)
+	return dst
+}
+
 // MustParse is Parse that panics on error, for constant tables.
 func MustParse(ipa string) String {
 	s, err := Parse(ipa)
@@ -326,45 +357,62 @@ func MustParse(ipa string) String {
 	return s
 }
 
-// ignorable are IPA marks that carry no phonemic content for matching:
-// primary/secondary stress, syllable break, tie bars, length-neutral
-// separators and whitespace.
-var ignorable = map[rune]bool{
-	'ˈ': true, 'ˌ': true, '.': true, '‿': true, '͡': true, '͜': true,
-	' ': true, '\t': true, '-': true, '\'': true,
+// ignorable reports the IPA marks that carry no phonemic content for
+// matching: primary/secondary stress, syllable break, tie bars,
+// length-neutral separators and whitespace.
+func ignorable(r rune) bool {
+	switch r {
+	case 'ˈ', 'ˌ', '.', '‿', '͡', '͜', ' ', '\t', '-', '\'':
+		return true
+	}
+	return false
 }
 
-func parse(ipa string) (String, string) {
-	var out String
-	var firstBad string
+// parse tokenizes into one fresh allocation: every spelling is at least
+// a byte long, so len(ipa) bounds the output. No phonemes parse as nil.
+func parse(ipa string) (String, rune) {
+	s, bad := appendParse(make(String, 0, len(ipa)), ipa)
+	if len(s) == 0 {
+		return nil, bad
+	}
+	return s, bad
+}
+
+// appendParse is the tokenizer: one left-to-right pass that, at each
+// position, walks the trie as far as the input allows and takes the
+// longest spelling passed on the way (long vowels, aspirates and
+// affricates are inventory entries of their own, so longest match
+// suffices). Where no spelling starts, one rune is skipped; the first
+// skipped rune that is not ignorable is returned, -1 if there is none.
+func appendParse[T string | []byte](dst String, ipa T) (String, rune) {
+	firstBad := rune(-1)
 	for i := 0; i < len(ipa); {
-		// Longest match against the inventory.
-		end := i + maxSymbolLen
-		if end > len(ipa) {
-			end = len(ipa)
-		}
-		matched := false
-		for j := end; j > i; j-- {
-			if p, ok := byIPA[ipa[i:j]]; ok {
-				// Prefer extending with a length/nasal mark handled by
-				// the inventory itself (long vowels are distinct entries),
-				// so plain longest-match suffices.
-				out = append(out, p)
-				i = j
-				matched = true
+		p, end := Invalid, i
+		for n, j := uint8(0), i; j < len(ipa); j++ {
+			n = trie[n].next[ipa[j]]
+			if n == 0 {
 				break
 			}
+			if q := trie[n].p; q != Invalid {
+				p, end = q, j+1
+			}
 		}
-		if matched {
+		if p != Invalid {
+			dst = append(dst, p)
+			i = end
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(ipa[i:])
-		if !ignorable[r] && firstBad == "" {
-			firstBad = string(r)
+		r, size := rune(ipa[i]), 1
+		if r >= utf8.RuneSelf {
+			var buf [utf8.UTFMax]byte
+			r, size = utf8.DecodeRune(buf[:copy(buf[:], ipa[i:])])
+		}
+		if firstBad < 0 && !ignorable(r) {
+			firstBad = r
 		}
 		i += size
 	}
-	return out, firstBad
+	return dst, firstBad
 }
 
 // Inventory returns the IPA spellings of all registered phonemes in a

@@ -20,3 +20,15 @@ func BenchmarkSurvives(b *testing.B) {
 		f.Survives(cand, 3)
 	}
 }
+
+var sigSink uint64
+
+// BenchmarkSignature is the per-row prefilter-column cost of a scan's
+// batch build; it must not allocate.
+func BenchmarkSignature(b *testing.B) {
+	s := phoneme.MustParse("dʒəʋaːɦərlaːlneːru")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sigSink = Signature(s, 3)
+	}
+}

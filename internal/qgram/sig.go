@@ -15,39 +15,33 @@ import (
 // computes — pruning on it never produces a false dismissal relative to
 // the exact filter.
 
-// sigHash folds one q-gram's content into a bucket index. FNV-1a over
-// the padded phonemes: cheap, deterministic, and spread well enough for
-// the 64-bucket Bloom domain.
-func sigHash(gram []phoneme.Phoneme) uint {
-	h := uint64(14695981039346656037)
-	for _, p := range gram {
-		h ^= uint64(p)
-		h *= 1099511628211
-	}
-	return uint(h & 63)
-}
-
 // Signature returns the 64-bit Bloom signature of s's positional
-// q-grams (content only, positions discarded): bit sigHash(g) is set
-// for every gram g of the padded string. Equal-content grams always map
-// to the same bit, so a gram of one string whose bit is absent from
-// another string's signature cannot content-match any gram there.
+// q-grams (content only, positions discarded): one bit per gram of the
+// padded string ◁^(q-1) s ▷^(q-1), chosen by FNV-1a over the gram's q
+// phonemes (pads hash as phoneme.Invalid) — cheap, deterministic, and
+// spread well enough for the 64-bucket Bloom domain. Equal-content grams
+// always map to the same bit, so a gram of one string whose bit is
+// absent from another string's signature cannot content-match any gram
+// there. The padding is virtual: the window slides over positions
+// outside s without a padded copy, so a scan computes a signature per
+// row without allocating.
 func Signature(s phoneme.String, q int) uint64 {
 	if q < 2 {
 		panic("qgram: q must be >= 2")
 	}
-	// Mirror Extract's padding without materializing the gram structs.
-	padded := make([]phoneme.Phoneme, 0, len(s)+2*(q-1))
-	for i := 0; i < q-1; i++ {
-		padded = append(padded, phoneme.Invalid)
-	}
-	padded = append(padded, s...)
-	for i := 0; i < q-1; i++ {
-		padded = append(padded, phoneme.Invalid)
-	}
 	var sig uint64
-	for i := 0; i+q <= len(padded); i++ {
-		sig |= 1 << sigHash(padded[i:i+q])
+	// Gram w of len(s)+q-1 ends at s[w] and starts q-1 earlier.
+	for w := 0; w < len(s)+q-1; w++ {
+		h := uint64(14695981039346656037)
+		for j := w - (q - 1); j <= w; j++ {
+			p := phoneme.Invalid
+			if uint(j) < uint(len(s)) {
+				p = s[j]
+			}
+			h ^= uint64(p)
+			h *= 1099511628211
+		}
+		sig |= 1 << (h & 63)
 	}
 	return sig
 }

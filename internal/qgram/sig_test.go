@@ -1,10 +1,60 @@
 package qgram
 
 import (
+	"math/rand"
 	"testing"
 
 	"lexequal/internal/phoneme"
 )
+
+// sigHash is the bucket of one materialized gram: FNV-1a over its
+// phonemes, folded to the 64-bit Bloom domain.
+func sigHash(gram []phoneme.Phoneme) uint {
+	h := uint64(14695981039346656037)
+	for _, p := range gram {
+		h ^= uint64(p)
+		h *= 1099511628211
+	}
+	return uint(h & 63)
+}
+
+// refSignature is Signature as first written: pad a copy of the string,
+// hash every window of it.
+func refSignature(s phoneme.String, q int) uint64 {
+	padded := make([]phoneme.Phoneme, 0, len(s)+2*(q-1))
+	for i := 0; i < q-1; i++ {
+		padded = append(padded, phoneme.Invalid)
+	}
+	padded = append(padded, s...)
+	for i := 0; i < q-1; i++ {
+		padded = append(padded, phoneme.Invalid)
+	}
+	var sig uint64
+	for i := 0; i+q <= len(padded); i++ {
+		sig |= 1 << sigHash(padded[i:i+q])
+	}
+	return sig
+}
+
+// TestSignatureMatchesPaddedReference: hashing over virtual padding must
+// set exactly the bits the padded-copy implementation set, or every
+// stored expectation about pruning power (and the bench's exact-repeat
+// PrunedSig counts) would shift.
+func TestSignatureMatchesPaddedReference(t *testing.T) {
+	all := phoneme.All()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		s := make(phoneme.String, rng.Intn(24))
+		for j := range s {
+			s[j] = all[rng.Intn(len(all))]
+		}
+		for q := 2; q <= 4; q++ {
+			if got, want := Signature(s, q), refSignature(s, q); got != want {
+				t.Fatalf("q=%d %v: Signature %#x, padded reference %#x", q, s, got, want)
+			}
+		}
+	}
+}
 
 // TestSignatureSubsumesExtract: every gram's hash bit must be present
 // in the string's signature, so MaxShared never undercounts the true

@@ -100,13 +100,23 @@ type Encoder struct {
 	base     uint64
 	maxLen   int
 	keepWeak bool
+
+	// Project's per-phoneme decisions, tabulated: whether the encoder's
+	// skip set holds the phoneme, and its cluster representative.
+	weak [256]bool
+	repr [256]phoneme.Phoneme
 }
 
 // NewEncoder builds an encoder over the given partition (weak phonemes
 // skipped).
 func NewEncoder(c *phoneme.Clusters) *Encoder {
 	base := uint64(c.Count()) + 1 // 0 is reserved so shorter ≠ padded
-	return &Encoder{clusters: c, base: base, maxLen: maxGroupedLen(base)}
+	e := &Encoder{clusters: c, base: base, maxLen: maxGroupedLen(base)}
+	for i := range e.repr {
+		e.weak[i] = weakPhoneme(phoneme.Phoneme(i))
+		e.repr[i] = c.Representative(phoneme.Phoneme(i))
+	}
+	return e
 }
 
 // NewEncoderKeepWeak builds an encoder that keys on every phoneme.
@@ -155,14 +165,19 @@ func (e *Encoder) Encode(s phoneme.String) GroupedID {
 // extracted from this form so that signature-invariant edits cannot
 // perturb the gram table.
 func (e *Encoder) Project(s phoneme.String) phoneme.String {
-	out := make(phoneme.String, 0, len(s))
+	return e.AppendProject(make(phoneme.String, 0, len(s)), s)
+}
+
+// AppendProject appends the projection of s to dst and returns the
+// extended slice, so a scan projects every row into one reused buffer.
+func (e *Encoder) AppendProject(dst, s phoneme.String) phoneme.String {
 	for _, p := range s {
-		if !e.keepWeak && weakPhoneme(p) {
+		if !e.keepWeak && e.weak[p] {
 			continue
 		}
-		out = append(out, e.clusters.Representative(p))
+		dst = append(dst, e.repr[p])
 	}
-	return out
+	return dst
 }
 
 // PhoneticCode renders the cluster-digit string of s (a Soundex-style

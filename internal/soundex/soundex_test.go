@@ -232,4 +232,9 @@ func TestEncoderProject(t *testing.T) {
 	if r.Equal(q) {
 		t.Error("projection erased a cross-cluster difference")
 	}
+	// AppendProject extends the caller's buffer and keeps what it held.
+	buf := e.AppendProject(append(phoneme.String(nil), r...), phoneme.MustParse("neːɦrʊ"))
+	if !buf[:len(r)].Equal(r) || !buf[len(r):].Equal(p) {
+		t.Errorf("AppendProject = %v, want %v ++ %v", buf, r, p)
+	}
 }
