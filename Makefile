@@ -67,15 +67,17 @@ bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
 # Run each native fuzz target briefly; a regression in either parser
-# robustness, TTP conversion, WAL replay, kernel equivalence or the IPA
-# tokenizer (trie vs the substring-map reference) shows up here before a
-# long fuzz run.
+# robustness, TTP conversion, WAL replay, kernel equivalence, the IPA
+# tokenizer (trie vs the substring-map reference) or the gram posting
+# layout (range, saturation, never a narrower budget) shows up here
+# before a long fuzz run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSQLParse -fuzztime $(FUZZTIME) ./internal/sql/
 	$(GO) test -run '^$$' -fuzz FuzzTTPConvert -fuzztime $(FUZZTIME) ./internal/ttp/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime $(FUZZTIME) ./internal/editdist/
 	$(GO) test -run '^$$' -fuzz FuzzParseEquivalence -fuzztime $(FUZZTIME) ./internal/phoneme/
+	$(GO) test -run '^$$' -fuzz FuzzCoverPosting -fuzztime $(FUZZTIME) ./internal/db/
 
 # End-to-end smoke of lexequald (DESIGN.md §10): spawn a server, run a
 # mixed workload through the network client, SIGTERM, require a clean

@@ -42,12 +42,14 @@ func sigGrams(proj phoneme.String, q int) []sigGram {
 //
 // A source that knows a candidate's weak count while it probes its gram
 // index (the in-memory Corpus) applies the position test per posting
-// and hands Admit a count. A source that learns it only after fetching
-// the candidate (the stored covering index) keeps each matching gram's
-// best Displacement within the candidate-independent cap, drops ids that
-// cannot reach MinShared, and hands AdmitWithin the list. Candidates
-// that share no gram at all still match when the count filter has no
-// power; ZeroGramsCanMatch and CountHasPower bound that residual sweep.
+// and hands Admit a count. A source whose postings carry a summary of
+// the row (the stored covering index: projected length and weak count,
+// see Summary) keeps each matching gram's best Displacement within the
+// candidate-independent cap and hands AdmitSummary the list before it
+// fetches the row, then AdmitWithin the same list against the fetched
+// row's own columns. Candidates that share no gram at all still match
+// when the count filter has no power; ZeroGramsCanMatch, CountHasPower
+// and SweepFrom bound that residual sweep.
 type QGramFilter struct {
 	q     int
 	e     float64
@@ -166,18 +168,40 @@ func (f *QGramFilter) Admit(b *Batch, i, shared int, st *Stats) bool {
 	return f.admit(int(b.plen[i]), f.budget(int(b.wk[i])), shared, st)
 }
 
-// AdmitWithin is Admit for evidence gathered before the candidate was
-// known: disps holds one Displacement per matching gram, and those
-// within the pair's exact budget are the shared count.
-func (f *QGramFilter) AdmitWithin(b *Batch, i int, disps []int32, st *Stats) bool {
-	k := f.budget(int(b.wk[i]))
+// SummaryUnknown stands for a Summary field a source could not store.
+const SummaryUnknown = -1
+
+// Summary is what a stored posting carries of its row so the filters
+// can run before the row is fetched: the projected length and the weak
+// count, the batch's plen and wk columns for the same phonemes (the
+// projection drops exactly the weak phonemes).
+func Summary(p phoneme.String) (plen, weak int) {
+	weak = editdist.WeakCount(p)
+	return len(p) - weak, weak
+}
+
+// AdmitSummary is Admit for a candidate known only by its Summary and
+// by evidence gathered before it was: disps holds one Displacement per
+// matching gram, and those within the pair's exact budget are the
+// shared count. An unknown field proves nothing — the candidate is
+// admitted uncounted, to be fetched and decided by AdmitWithin.
+func (f *QGramFilter) AdmitSummary(plen, weak int, disps []int32, st *Stats) bool {
+	if plen < 0 || weak < 0 {
+		return true
+	}
+	k := f.budget(weak)
 	shared := 0
 	for _, d := range disps {
 		if float64(d) <= k {
 			shared++
 		}
 	}
-	return f.admit(int(b.plen[i]), k, shared, st)
+	return f.admit(plen, k, shared, st)
+}
+
+// AdmitWithin is AdmitSummary fed from the columns of batch row i.
+func (f *QGramFilter) AdmitWithin(b *Batch, i int, disps []int32, st *Stats) bool {
+	return f.AdmitSummary(int(b.plen[i]), int(b.wk[i]), disps, st)
 }
 
 // Table returns the pattern's gram → positions table, the build side of
@@ -207,17 +231,6 @@ func (f *QGramFilter) Displacement(positions []int, pos int) (int32, bool) {
 	return int32(best), float64(best) <= f.capK
 }
 
-// MinShared is the fewest cap-compatible grams any admissible candidate
-// shares with the pattern: the count threshold of the shortest
-// admissible candidate at the budget cap, which a pair's exact budget
-// only tightens. Sources use it to skip fetching hopeless ids.
-func (f *QGramFilter) MinShared() int {
-	if math.IsInf(f.capK, 1) {
-		return 0
-	}
-	return qgram.CountThreshold(f.plen, f.plen-int(f.capK), f.q, f.capK)
-}
-
 // countNeed is the count threshold at budget k minimized over admissible
 // candidate lengths (CountThreshold's second argument 0 selects it).
 func (f *QGramFilter) countNeed(k float64) int {
@@ -238,6 +251,23 @@ func (f *QGramFilter) ZeroGramsCanMatch() bool {
 // candidate for which this holds.
 func (f *QGramFilter) CountHasPower(cweak int) bool {
 	return f.countNeed(f.budget(cweak)) > 0
+}
+
+// SweepFrom is the residual sweep's bound for a source ordered by
+// ascending weak count: the smallest weak count at which CountHasPower
+// fails, so zero-gram candidates with at least that many weak phonemes
+// must still be looked at and no others. ok is false when no sweep is
+// needed at all.
+func (f *QGramFilter) SweepFrom() (wmin int, ok bool) {
+	if !f.ZeroGramsCanMatch() {
+		return 0, false
+	}
+	// The budget grows with the weak count until it meets the cap, where
+	// ZeroGramsCanMatch has just said the filter has no power.
+	for f.CountHasPower(wmin) {
+		wmin++
+	}
+	return wmin, true
 }
 
 // SigFilter is the batched, coarser form of QGramFilter: projected-space

@@ -33,10 +33,10 @@ var filterPairs = [][2]string{
 // TestQGramFilterNeverDismissesAMatch is the one property every q-gram
 // plan rests on: for any pair the scalar DP accepts, the shared filter
 // admits it — through either evidence path (probe-time counts, deferred
-// displacement lists), through the pre-fetch MinShared bound, and
-// through the zero-gram regime tests that let a source skip or stop its
-// residual sweep. SigFilter, the batched sibling on the same bounds,
-// must admit it too.
+// displacement lists), through the pre-fetch decision on a stored
+// Summary, and through the zero-gram regime tests that let a source skip
+// or stop its residual sweep. SigFilter, the batched sibling on the same
+// bounds, must admit it too.
 func TestQGramFilterNeverDismissesAMatch(t *testing.T) {
 	accepted, dismissed := 0, 0
 	for _, icsc := range []float64{0, 0.25, 1} {
@@ -76,6 +76,25 @@ func TestQGramFilterNeverDismissesAMatch(t *testing.T) {
 						var st Stats
 						byCount := f.Admit(b, 0, shared, &st)
 						byDisps := f.AdmitWithin(b, 0, disps, &st)
+						// The stored-summary path: what a posting carries of the
+						// candidate decides exactly as the batch columns do, and an
+						// unknown field defers the decision, uncounted.
+						var pre Stats
+						plen, weak := Summary(cand)
+						if plen != int(b.plen[0]) || weak != cweak {
+							t.Fatalf("%s: Summary = (%d, %d), the batch columns hold (%d, %d)", name, plen, weak, b.plen[0], cweak)
+						}
+						if f.AdmitSummary(plen, weak, disps, &pre) != byDisps || pre.PrunedLength+pre.PrunedCount != btoi(!byDisps) {
+							t.Errorf("%s: pre-fetch decision on (%d, %d, %v) differs from AdmitWithin's %v (%+v)", name, plen, weak, disps, byDisps, pre)
+						}
+						pre = Stats{}
+						if !f.AdmitSummary(SummaryUnknown, weak, disps, &pre) || !f.AdmitSummary(plen, SummaryUnknown, disps, &pre) || pre != (Stats{}) {
+							t.Errorf("%s: an unknown summary field must defer the decision uncounted (%+v)", name, pre)
+						}
+						wmin, sweep := f.SweepFrom()
+						if sweep != f.ZeroGramsCanMatch() || sweep && (f.CountHasPower(wmin) || wmin > 0 && !f.CountHasPower(wmin-1)) {
+							t.Errorf("%s: SweepFrom = (%d, %v) is not where CountHasPower first fails", name, wmin, sweep)
+						}
 						sf := op.NewSigFilter(pat, thr, q)
 						bySig := sf.Admit(b, 0, &st)
 						pruned := st.PrunedLength + st.PrunedCount + st.PrunedSig
@@ -85,9 +104,9 @@ func TestQGramFilterNeverDismissesAMatch(t *testing.T) {
 						if f.CountHasPower(cweak+1) && !f.CountHasPower(cweak) {
 							t.Errorf("%s: CountHasPower is not monotone in the weak count", name)
 						}
-						if icsc == 0 && (!math.IsInf(f.capK, 1) || f.MinShared() != 0 || !f.ZeroGramsCanMatch()) {
-							t.Errorf("%s: ICSC=0 has no finite cap, yet cap=%v minShared=%d zeroCanMatch=%v",
-								name, f.capK, f.MinShared(), f.ZeroGramsCanMatch())
+						if icsc == 0 && (!math.IsInf(f.capK, 1) || !f.ZeroGramsCanMatch()) {
+							t.Errorf("%s: ICSC=0 has no finite cap, yet cap=%v zeroCanMatch=%v",
+								name, f.capK, f.ZeroGramsCanMatch())
 						}
 						if !op.MatchPhonemes(pat, cand, thr) {
 							if !byCount {
@@ -100,16 +119,16 @@ func TestQGramFilterNeverDismissesAMatch(t *testing.T) {
 							t.Errorf("%s: the DP accepts, but Admit=%v AdmitWithin=%v SigFilter=%v (shared=%d disps=%v)",
 								name, byCount, byDisps, bySig, shared, disps)
 						}
-						if len(disps) > 0 && len(disps) < f.MinShared() {
-							t.Errorf("%s: the DP accepts, but %d cap-compatible grams < MinShared %d: never fetched",
-								name, len(disps), f.MinShared())
-						}
 						if len(disps) == 0 && !f.ZeroGramsCanMatch() {
 							t.Errorf("%s: the DP accepts a zero-gram candidate, but ZeroGramsCanMatch is false", name)
 						}
 						if shared == 0 && (!f.ZeroGramsCanMatch() || f.CountHasPower(cweak)) {
 							t.Errorf("%s: the DP accepts a zero-gram candidate the sweep would skip (zeroCanMatch=%v hasPower=%v)",
 								name, f.ZeroGramsCanMatch(), f.CountHasPower(cweak))
+						}
+						if len(disps) == 0 && (!sweep || cweak < wmin) {
+							t.Errorf("%s: the DP accepts a zero-gram candidate with %d weak phonemes, outside the sweep from %d (%v)",
+								name, cweak, wmin, sweep)
 						}
 					}
 				}

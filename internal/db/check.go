@@ -6,7 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 
 	"lexequal/internal/store"
 	"lexequal/internal/wal"
@@ -75,9 +76,12 @@ func (d *DB) Check() []CheckIssue {
 			add(object, "covers unknown table %q", ix.Def.Table)
 			continue
 		}
-		if ix.Def.Column == coverColumn {
+		switch ix.Def.Column {
+		case coverColumn:
 			d.checkCoverIndex(ix, t, add)
 			continue
+		case legacyCoverColumn:
+			continue // no plan reads it; its structure was checked above
 		}
 		d.checkColumnIndex(ix, t, add)
 	}
@@ -224,8 +228,14 @@ func (d *DB) checkColumnIndex(ix *Index, t *Table, add func(object, format strin
 }
 
 // checkCoverIndex cross-checks the covering gram index against the aux
-// table: the multiset of (gramhash, id, pos) triples must be identical
-// on both sides.
+// table and the base table. The multiset of (gramhash, id, pos) triples
+// outside the reserved keys must be identical in the tree and the aux
+// table. Every posting of a live base row must carry the summary
+// recomputed from the row's pname — the q-gram plan dismisses rows on
+// it unfetched, so nothing else would notice a stale one. And the weak
+// list must hold exactly the loaded rows (those with grams in the aux
+// table) that have a weak phoneme, each once, under its own weak key.
+// Entries of rows no longer live are legal, as in any index here.
 func (d *DB) checkCoverIndex(ix *Index, aux *Table, add func(object, format string, args ...interface{})) {
 	object := "index " + ix.Def.Name
 	idCol := aux.Columns.ColIndex("id")
@@ -235,49 +245,100 @@ func (d *DB) checkCoverIndex(ix *Index, aux *Table, add func(object, format stri
 		add(object, "aux table %s lacks the id/pos/gramhash columns", aux.Name)
 		return
 	}
-	type triple struct {
-		hash uint64
-		v    uint64
+	base, ok := d.Table(strings.TrimSuffix(aux.Name, "_qgrams"))
+	if !ok {
+		add(object, "aux table %s has no base table", aux.Name)
+		return
 	}
-	var fromTree, fromHeap []triple
+	baseID, basePhon := base.Columns.ColIndex("id"), base.Columns.ColIndex("pname")
+	if baseID < 0 || basePhon < 0 {
+		add(object, "base table %s lacks the id/pname columns", base.Name)
+		return
+	}
+	sums := map[int64]rowSummary{} // live base rows with phonemes, by id
+	err := base.Scan(func(_ store.RID, row Row) error {
+		if row[baseID].T == TInt && row[basePhon].T == TString {
+			sums[row[baseID].I] = pnameSummary(row[basePhon].S)
+		}
+		return nil
+	})
+	if err != nil {
+		add(object, "base table cross-check scan failed: %v", err)
+		return
+	}
+
+	var fromTree, fromHeap []coverEntry // postings, their summaries masked
+	weakList := map[coverEntry]int{}    // weak-list entries wanted (+) and found (-)
+	stale := false
 	it := ix.Tree.Seek(0)
 	for {
 		key, v, ok := it.Next()
 		if !ok {
 			break
 		}
-		fromTree = append(fromTree, triple{key, v})
+		id, pos, plen, weak := UnpackCover(v)
+		s, live := sums[id]
+		if key&coverWeakKey != 0 {
+			if live {
+				weakList[coverEntry{key, v}]--
+			}
+			continue
+		}
+		fromTree = append(fromTree, coverEntry{key, v >> coverPosShift << coverPosShift})
+		if want, _ := CoverValue(id, pos, s.plen, s.weak); live && want != v && !stale {
+			stale = true // one mismatch implies many; report once
+			add(object, "posting (hash %d, id %d, pos %d) carries the summary (plen %d, weak %d), the row's pname gives (%d, %d)",
+				key, id, pos, plen, weak, s.plen, s.weak)
+		}
 	}
 	if err := it.Err(); err != nil {
 		add(object, "scan failed: %v", err)
 		return
 	}
-	err := aux.Scan(func(_ store.RID, row Row) error {
-		fromHeap = append(fromHeap, triple{uint64(row[hashCol].I), CoverValue(row[idCol].I, int(row[posCol].I))})
+	loaded := map[int64]bool{}
+	err = aux.Scan(func(_ store.RID, row Row) error {
+		id := row[idCol].I
+		v, err := CoverValue(id, int(row[posCol].I), 0, 0)
+		if err != nil {
+			add(object, "aux table %s: %v", aux.Name, err)
+			return nil
+		}
+		fromHeap = append(fromHeap, coverEntry{uint64(row[hashCol].I), v})
+		if s := sums[id]; !loaded[id] && s.weak != 0 {
+			v, _ := CoverValue(id, 0, s.plen, s.weak) // the id fit just above
+			weakList[coverEntry{weakKey(s.weak), v}]++
+		}
+		loaded[id] = true
 		return nil
 	})
 	if err != nil {
 		add(object, "aux cross-check scan failed: %v", err)
 		return
 	}
-	less := func(s []triple) func(i, j int) bool {
-		return func(i, j int) bool {
-			if s[i].hash != s[j].hash {
-				return s[i].hash < s[j].hash
-			}
-			return s[i].v < s[j].v
+	entries := make([]coverEntry, 0, len(weakList))
+	for e := range weakList {
+		entries = append(entries, e)
+	}
+	slices.SortFunc(entries, coverEntry.compare)
+	for _, e := range entries {
+		id, _, plen, weak := UnpackCover(e.val)
+		switch n := weakList[e]; {
+		case n > 0:
+			add(object, "row id %d (plen %d, weak %d) has no weak-list entry under its weak key", id, plen, weak)
+		case n < 0:
+			add(object, "weak-list entry (key %#x, id %d, plen %d, weak %d) matches no loaded row, or repeats one", e.key, id, plen, weak)
 		}
 	}
-	sort.Slice(fromTree, less(fromTree))
-	sort.Slice(fromHeap, less(fromHeap))
+	slices.SortFunc(fromTree, coverEntry.compare)
+	slices.SortFunc(fromHeap, coverEntry.compare)
 	if len(fromTree) != len(fromHeap) {
-		add(object, "holds %d entries, aux table %s holds %d grams", len(fromTree), aux.Name, len(fromHeap))
+		add(object, "holds %d postings, aux table %s holds %d grams", len(fromTree), aux.Name, len(fromHeap))
 		return
 	}
 	for i := range fromTree {
 		if fromTree[i] != fromHeap[i] {
-			id, pos := UnpackCover(fromTree[i].v)
-			add(object, "entry (hash %d, id %d, pos %d) disagrees with the aux table", fromTree[i].hash, id, pos)
+			id, pos, _, _ := UnpackCover(fromTree[i].val)
+			add(object, "entry (hash %d, id %d, pos %d) disagrees with the aux table", fromTree[i].key, id, pos)
 			return // one mismatch implies many; report once
 		}
 	}

@@ -49,7 +49,7 @@ type LexConfig struct {
 
 	IDIndex    *Index // nil disables q-gram candidate fetch by index
 	GroupIndex *Index // nil disables the phonetic-index scan
-	CoverIndex *Index // covering gram index; nil makes the q-gram probe scan the aux table
+	CoverIndex *Index // covering gram index in the current posting layout; nil makes the q-gram probe scan the aux table
 
 	Op *core.Operator
 	Q  int
@@ -139,6 +139,9 @@ type lexCands struct {
 	// were added, so a failed transform drops the row before it is
 	// counted.
 	extra map[int]phoneme.String
+	// pre counts rows the source dismissed without fetching them; verify
+	// folds it into the execution's one Stats record.
+	pre core.Stats
 }
 
 // candsPool recycles arenas across queries: a scan's arena is as large
@@ -278,6 +281,7 @@ func (cs *lexCands) verify(qp phoneme.String, threshold float64, sigQ int,
 	admit func(b *core.Batch, i int, st *core.Stats) bool) ([]Row, error) {
 	cfg := cs.cfg
 	idx, st := cfg.Op.Verify(qp, threshold, len(cs.rows), cs.phonemes, sigQ, admit, core.Parallel(cfg.Workers), core.WithKernel(cfg.Kernel))
+	st.Add(cs.pre)
 	cfg.record(st)
 	var rows []Row
 	for _, i := range idx {
@@ -312,7 +316,7 @@ func ResolveLexConfig(d *DB, table string, op *core.Operator) (*LexConfig, error
 		if cfg.AuxID < 0 || cfg.AuxPos < 0 || cfg.AuxGram < 0 {
 			return nil, fmt.Errorf("db: aux table %s_qgrams has wrong schema", table)
 		}
-		if ix, ok := d.Index(CoverIndexName(t.Name)); ok {
+		if ix, ok := d.Index(CoverIndexName(t.Name)); ok && ix.Def.Column == coverColumn {
 			cfg.CoverIndex = ix
 		}
 	}
@@ -387,51 +391,190 @@ func (n *lexRowsNode) Next() (Row, error) {
 
 func (n *lexRowsNode) Close() error { return nil }
 
-// probeGrams is the gram join of Figure 14 with the position predicate
-// deferred: the sound position budget slacks by the candidate's weak
-// count, unknown until the candidate row is fetched, so the probe keeps,
-// per base-row id, each matching gram's displacement within the filter's
-// budget cap (core.QGramFilter.Displacement). With the covering index
-// the probe reads (id, pos) pairs straight from the B-tree — a hash
-// collision can only inflate a count, which admits an extra candidate
-// for verification, never a dismissal; without it the probe degrades to
-// an aux-table scan.
-func (cfg *LexConfig) probeGrams(qf *core.QGramFilter) (map[int64][]int32, error) {
-	disps := map[int64][]int32{}
-	note := func(id int64, positions []int, pos int) {
-		if d, ok := qf.Displacement(positions, pos); ok {
-			disps[id] = append(disps[id], d)
+// gramProbe is the working set of one q-gram plan execution, pooled
+// across queries: the postings that matched a query gram, merged by id,
+// and what the filters made of them before any row was fetched.
+type gramProbe struct {
+	// hits holds one entry per posting whose gram a query gram matched
+	// within the filter's budget cap: the posting value with the gram's
+	// displacement (core.QGramFilter.Displacement, saturated — which the
+	// filter's d ≤ k test reads as "at least 255") in place of its
+	// position. Sorted, so an id's hits are adjacent whatever order the
+	// posting lists came in.
+	hits []uint64
+	// ids lists the rows to fetch: the probed ids the filters admitted on
+	// their postings' summaries, ascending, then (from probed on) the
+	// residual sweep's, ascending.
+	ids    []int64
+	probed int
+	// Probed id j's displacements are disps[offs[j]:offs[j+1]].
+	offs  []int32
+	disps []int32
+	// pre counts the rows dismissed on their postings alone.
+	pre core.Stats
+	// heapSweep: the residual sweep must read the heap — every row the
+	// probe did not see is a candidate.
+	heapSweep bool
+}
+
+var probePool = sync.Pool{New: func() any { return new(gramProbe) }}
+
+func (gp *gramProbe) release() {
+	*gp = gramProbe{hits: gp.hits[:0], ids: gp.ids[:0], offs: gp.offs[:0], disps: gp.disps[:0]}
+	probePool.Put(gp)
+}
+
+// note keeps posting v, found under a gram the query holds at positions,
+// if some pair budget can admit its displacement. An unknown position
+// counts as no displacement at all.
+func (gp *gramProbe) note(qf *core.QGramFilter, positions []int, v uint64) {
+	var d int32
+	if pos := coverInt(v >> coverPosShift); pos != core.SummaryUnknown {
+		var ok bool
+		if d, ok = qf.Displacement(positions, pos); !ok {
+			return
 		}
 	}
+	gp.hits = append(gp.hits, v&^(coverUnknown<<coverPosShift)|uint64(min(d, coverUnknown))<<coverPosShift)
+}
+
+// readPostings collects the postings of every gram of the query: from
+// the covering index, each carrying its row's summary, or — without it —
+// from an aux-table scan, whose postings carry none.
+func (cfg *LexConfig) readPostings(gp *gramProbe, qf *core.QGramFilter) error {
 	table := qf.Table()
 	if cfg.CoverIndex == nil {
-		err := cfg.Aux.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
-			if positions, ok := table[row[cfg.AuxGram].S]; ok {
-				note(row[cfg.AuxID].I, positions, int(row[cfg.AuxPos].I))
+		return cfg.Aux.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
+			positions, ok := table[row[cfg.AuxGram].S]
+			if !ok {
+				return nil
 			}
+			v, err := CoverValue(row[cfg.AuxID].I, int(row[cfg.AuxPos].I), core.SummaryUnknown, core.SummaryUnknown)
+			if err != nil {
+				return err
+			}
+			gp.note(qf, positions, v)
 			return nil
 		})
-		return disps, err
 	}
 	for key, positions := range table {
-		vals, err := cfg.CoverIndex.Tree.Lookup(uint64(GramHash(key)))
-		if err != nil {
-			return nil, err
+		h := uint64(GramHash(key))
+		it := cfg.CoverIndex.Tree.Seek(h)
+		for {
+			k, v, ok := it.Next()
+			if !ok || k != h {
+				break
+			}
+			gp.note(qf, positions, v)
 		}
-		for _, v := range vals {
-			id, pos := UnpackCover(v)
-			note(id, positions, pos)
+		if err := it.Err(); err != nil {
+			return err
 		}
 	}
-	return disps, nil
+	return nil
+}
+
+// probe is the gram join of Figure 14 run on the posting lists: it
+// merges the query grams' postings by id and decides each probed id at
+// the pair's exact budget from the summary its postings carry, touching
+// no row. A hash collision can only inflate a count, which admits an
+// extra candidate for verification, never a dismissal; a posting without
+// a summary has its row fetched and decided afterwards. Then it settles
+// the residual sweep for candidates that share no gram with the query:
+// none where the count filter dismisses them all, the weak list from the
+// weak count at which it stops doing so, the heap if that count is zero
+// (the weak list holds no such rows) or there is no weak list.
+func (cfg *LexConfig) probe(gp *gramProbe, qf *core.QGramFilter) error {
+	if err := cfg.readPostings(gp, qf); err != nil {
+		return err
+	}
+	slices.Sort(gp.hits)
+	gp.offs = append(gp.offs, 0)
+	for lo := 0; lo < len(gp.hits); {
+		id, _, plen, weak := UnpackCover(gp.hits[lo])
+		from := len(gp.disps)
+		hi := lo
+		for ; hi < len(gp.hits) && int64(gp.hits[hi]>>coverIDShift) == id; hi++ {
+			gp.disps = append(gp.disps, int32(gp.hits[hi]>>coverPosShift&coverUnknown))
+		}
+		if qf.AdmitSummary(plen, weak, gp.disps[from:], &gp.pre) {
+			gp.ids = append(gp.ids, id)
+			gp.offs = append(gp.offs, int32(len(gp.disps)))
+		} else {
+			gp.pre.Rows++
+			gp.disps = gp.disps[:from]
+		}
+		lo = hi
+	}
+	gp.probed = len(gp.ids)
+	switch wmin, residual := qf.SweepFrom(); {
+	case !residual:
+	case wmin == 0 || cfg.CoverIndex == nil:
+		gp.heapSweep = true
+	default:
+		return cfg.sweep(gp, qf, wmin)
+	}
+	return nil
+}
+
+// seen reports whether the probe found a gram of id.
+func (gp *gramProbe) seen(id int64) bool {
+	i, _ := slices.BinarySearch(gp.hits, uint64(id)<<coverIDShift)
+	return i < len(gp.hits) && int64(gp.hits[i]>>coverIDShift) == id
+}
+
+// sweep is the residual sweep over the weak list: the rows with at least
+// wmin ≥ 1 weak phonemes that the probe did not see, filtered on their
+// summaries with no gram evidence.
+func (cfg *LexConfig) sweep(gp *gramProbe, qf *core.QGramFilter, wmin int) error {
+	it := cfg.CoverIndex.Tree.Seek(weakKey(wmin))
+	for {
+		_, v, ok := it.Next()
+		if !ok {
+			break
+		}
+		id, _, plen, weak := UnpackCover(v)
+		if gp.seen(id) {
+			continue
+		}
+		if qf.AdmitSummary(plen, weak, nil, &gp.pre) {
+			gp.ids = append(gp.ids, id)
+		} else {
+			gp.pre.Rows++
+		}
+	}
+	slices.Sort(gp.ids[gp.probed:])
+	return it.Err()
+}
+
+// fetches reports whether the plan fetches id.
+func (gp *gramProbe) fetches(id int64) bool {
+	_, probed := slices.BinarySearch(gp.ids[:gp.probed], id)
+	_, swept := slices.BinarySearch(gp.ids[gp.probed:], id)
+	return probed || swept
+}
+
+// dispsOf returns the displacements the probe kept for id (none for a
+// row the residual sweep supplied). The result is shared read-only.
+func (gp *gramProbe) dispsOf(id int64) []int32 {
+	j, ok := slices.BinarySearch(gp.ids[:gp.probed], id)
+	if !ok {
+		return nil
+	}
+	return gp.disps[gp.offs[j]:gp.offs[j+1]]
 }
 
 // NewLexScanQGram builds the Table-2 plan (Figure 14): probe the
-// positional q-gram structures with the query's grams, fetch the
-// candidates that can reach the filter's minimum shared-gram count via
-// the id index (plus, in the regime where the count filter has no
-// power, the rows the probe never surfaced), and let core apply the
-// length and count filters at each pair's exact budget and verify.
+// positional q-gram postings with the query's grams, apply the length,
+// count and position filters to each probed id at the pair's exact
+// budget from the row summary its postings carry, and fetch only the
+// survivors via the id index — plus, in the regime where the count
+// filter has no power, the survivors of the same filters among the rows
+// the probe never surfaced, read from the weak list. core rechecks the
+// filters against each fetched row's own columns and verifies. The heap
+// is scanned only when the filter has no power even over rows without a
+// weak phoneme, which the weak list does not hold, and for tables
+// without a covering or an id index.
 func NewLexScanQGram(cfg *LexConfig, query core.Text, threshold float64, langs core.LangSet) Node {
 	if cfg.Aux == nil {
 		return ErrNode("lexequal: table %s has no q-gram auxiliary table", cfg.Table.Name)
@@ -445,35 +588,31 @@ func NewLexScanQGram(cfg *LexConfig, query core.Text, threshold float64, langs c
 			return nil, err
 		}
 		qf := cfg.Op.NewQGramFilter(qp, threshold, cfg.Q)
-		disps, err := cfg.probeGrams(&qf)
-		if err != nil {
+		gp := probePool.Get().(*gramProbe)
+		defer gp.release()
+		if err := cfg.probe(gp, &qf); err != nil {
 			return nil, err
 		}
-		byIndex, zero := cfg.IDIndex != nil, qf.ZeroGramsCanMatch()
-		var ids []int64
+		byIndex := cfg.IDIndex != nil
+		expect := len(gp.ids)
+		if gp.heapSweep {
+			expect = int(cfg.Table.Count())
+		}
+		cs := cfg.newCands(langs, expect)
+		defer cs.release()
+		cs.pre = gp.pre
 		if byIndex {
-			minShared := qf.MinShared()
-			ids = make([]int64, 0, len(disps))
-			for id, ds := range disps {
-				if len(ds) >= minShared {
-					ids = append(ids, id)
+			for _, id := range gp.ids {
+				if err := cs.fetch(cfg.IDIndex, uint64(id)); err != nil {
+					return nil, err
 				}
 			}
-			slices.Sort(ids)
 		}
-		cs := cfg.newCands(langs, len(ids))
-		defer cs.release()
-		for _, id := range ids {
-			if err := cs.fetch(cfg.IDIndex, uint64(id)); err != nil {
-				return nil, err
-			}
-		}
-		// One scan serves both the plan without an id index (every probed
-		// id) and the residual sweep for zero-gram candidates.
-		if !byIndex || zero {
+		// One scan serves both the plan without an id index (every id to
+		// fetch) and the residual sweep the weak list cannot serve.
+		if !byIndex || gp.heapSweep {
 			err = cs.scan(func(id int64) bool {
-				_, seen := disps[id]
-				return seen && !byIndex || !seen && zero
+				return !byIndex && gp.fetches(id) || gp.heapSweep && !gp.seen(id)
 			})
 			if err != nil {
 				return nil, err
@@ -481,8 +620,10 @@ func NewLexScanQGram(cfg *LexConfig, query core.Text, threshold float64, langs c
 		}
 		// The exact positional filter subsumes the Bloom prefilter; the
 		// batch carries the prefilter columns for its projected lengths.
+		// This is the recheck of the pre-fetch decision against the
+		// fetched version's own columns.
 		admit := func(b *core.Batch, i int, st *core.Stats) bool {
-			return qf.AdmitWithin(b, i, disps[cs.rows[i].id], st)
+			return qf.AdmitWithin(b, i, gp.dispsOf(cs.rows[i].id), st)
 		}
 		return cs.verify(qp, threshold, cfg.Q, admit)
 	}}

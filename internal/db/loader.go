@@ -1,12 +1,15 @@
 package db
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"lexequal/internal/core"
+	"lexequal/internal/phoneme"
 	"lexequal/internal/qgram"
 	"lexequal/internal/soundex"
 	"lexequal/internal/store"
@@ -147,6 +150,7 @@ func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text,
 		}
 	}
 	enc := soundex.NewEncoder(op.Clusters())
+	sums := make([]rowSummary, len(texts)) // rows without phonemes keep the zero summary
 	for i, text := range texts {
 		row := Row{Int(int64(i)), NStr(text.Value, text.Lang), Null(), Null()}
 		if op.Registry().Has(text.Lang) {
@@ -155,6 +159,7 @@ func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text,
 				return nil, fmt.Errorf("db: load row %d (%s): %w", i, text, err)
 			}
 			row[2] = Str(p.IPA())
+			sums[i] = pnameSummary(row[2].S)
 			row[3] = Int(int64(enc.Encode(p)))
 			if aux != nil {
 				for _, g := range qgram.Extract(enc.Project(p), q) {
@@ -177,10 +182,11 @@ func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text,
 			return nil, err
 		}
 		if spec.WithAux {
-			// Covering index: gramhash -> (id, pos) packed into the
-			// value, so the gram probe never touches the aux heap (the
-			// index-only plan a real optimizer would use for Figure 14).
-			if err := buildCoverIndex(d, name, aux); err != nil {
+			// Covering index: gramhash -> (id, pos, row summary) packed
+			// into the value, so the gram probe never touches the aux heap
+			// (the index-only plan a real optimizer would use for Figure
+			// 14) and filters before it touches the base heap.
+			if err := buildCoverIndex(d, name, aux, sums); err != nil {
 				return nil, err
 			}
 		}
@@ -193,23 +199,118 @@ func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text,
 	return cfg, nil
 }
 
-// CoverValue packs an aux-table (id, pos) pair into a B-tree value for
-// the covering gram index; positions fit comfortably in 16 bits.
-func CoverValue(id int64, pos int) uint64 { return uint64(id)<<16 | uint64(pos&0xFFFF) }
+// A posting of the covering gram index is one B-tree entry: the key is
+// the gram's hash, and the 64-bit value packs the id and position of the
+// aux-table row with a summary of the base row — the projected length
+// and weak count of its stored pname (core.Summary) — so the q-gram plan
+// runs the length, count and position filters on the posting lists and
+// fetches only the survivors:
+//
+//	[63:24] id    [23:16] pos    [15:8] plen    [7:0] weak
+//
+// The top value of an 8-bit field is the sentinel "unknown" (a name with
+// 255 or more projected phonemes or glottals): the plan then fetches the
+// row and decides afterwards, so saturation can widen a budget but never
+// narrow it. An id that does not fit is refused.
+//
+// Keys with the top bit set are reserved (GramHash clears it). Under
+// weakKey(w) the index holds the weak list: one entry, at position 0,
+// for every row with w ≥ 1 weak phonemes, so the residual sweep for
+// candidates that share no gram with the query reads the rows with at
+// least a given weak count as one key range.
+const (
+	coverIDBits   = 40
+	coverIDShift  = 24
+	coverPosShift = 16
+	coverUnknown  = 0xFF
+	coverWeakKey  = uint64(1) << 63
+)
 
-// UnpackCover reverses CoverValue.
-func UnpackCover(v uint64) (id int64, pos int) { return int64(v >> 16), int(v & 0xFFFF) }
+// coverField saturates a posting field to the sentinel.
+func coverField(n int) uint64 {
+	if n < 0 || n >= coverUnknown {
+		return coverUnknown
+	}
+	return uint64(n)
+}
+
+// coverInt reverses coverField.
+func coverInt(f uint64) int {
+	if f &= 0xFF; f != coverUnknown {
+		return int(f)
+	}
+	return core.SummaryUnknown
+}
+
+// CoverValue packs a posting. A pos, plen or weak out of range (or
+// core.SummaryUnknown) is stored as unknown.
+func CoverValue(id int64, pos, plen, weak int) (uint64, error) {
+	if id < 0 || id >= 1<<coverIDBits {
+		return 0, fmt.Errorf("db: id %d does not fit the %d-bit id of a gram posting", id, coverIDBits)
+	}
+	return uint64(id)<<coverIDShift | coverField(pos)<<coverPosShift | coverField(plen)<<8 | coverField(weak), nil
+}
+
+// UnpackCover reverses CoverValue; an unknown field comes back as
+// core.SummaryUnknown.
+func UnpackCover(v uint64) (id int64, pos, plen, weak int) {
+	return int64(v >> coverIDShift), coverInt(v >> coverPosShift), coverInt(v >> 8), coverInt(v)
+}
+
+// weakKey is the reserved key of the weak-list entries of rows with the
+// given weak count; unknown sorts last, so every sweep reaches it.
+func weakKey(weak int) uint64 { return coverWeakKey | coverField(weak) }
+
+// rowSummary is what a posting carries of its base row.
+type rowSummary struct{ plen, weak int }
+
+// pnameSummary summarises a row from its stored phonemes, parsed the way
+// the plans parse them, so a posting's summary equals the batch columns
+// the same row gets once fetched.
+func pnameSummary(ipa string) rowSummary {
+	plen, weak := core.Summary(phoneme.ParseLenient(ipa))
+	return rowSummary{plen, weak}
+}
+
+// coverEntry is one (key, value) entry of the covering index.
+type coverEntry struct{ key, val uint64 }
+
+func (e coverEntry) compare(o coverEntry) int {
+	return cmp.Or(cmp.Compare(e.key, o.key), cmp.Compare(e.val, o.val))
+}
 
 // CoverIndexName is the naming convention for the covering gram index.
 func CoverIndexName(table string) string { return table + "_qgrams_cover" }
 
-// coverColumn marks the covering index in the catalog; it resolves to
-// no real column, so ordinary insert-time index maintenance skips it.
-const coverColumn = "(gramhash)->(id,pos)"
+// coverColumn marks the covering index in the catalog and names its
+// posting layout; it resolves to no real column, so ordinary insert-time
+// index maintenance skips it. An index under legacyCoverColumn holds
+// bare id<<16 | pos values: the plans ignore it and probe the aux table.
+const (
+	coverColumn       = "(gramhash)->(id,pos,plen,weak)"
+	legacyCoverColumn = "(gramhash)->(id,pos)"
+)
 
-// buildCoverIndex bulk-loads the covering gram index from the aux
-// table.
-func buildCoverIndex(d *DB, name string, aux *Table) error {
+// buildCoverIndex bulk-loads the covering gram index: the postings of
+// the aux table in scan order, then the weak list. sums holds the
+// summary of the base row with id i at i.
+func buildCoverIndex(d *DB, name string, aux *Table, sums []rowSummary) error {
+	var weakList []coverEntry
+	for id, s := range sums {
+		if s.weak == 0 {
+			continue
+		}
+		v, err := CoverValue(int64(id), 0, s.plen, s.weak)
+		if err != nil {
+			return err
+		}
+		weakList = append(weakList, coverEntry{weakKey(s.weak), v})
+	}
+	// BTree.Insert keeps equal keys in value order only within a leaf:
+	// appended in ascending (weak, id) order at the right edge of the
+	// tree, the weak list is in (key, value) order across leaves too.
+	slices.SortFunc(weakList, coverEntry.compare)
+
 	idxName := CoverIndexName(name)
 	bt, err := store.OpenBTreeFS(d.indexPath(idxName), d.cachePages, d.fs)
 	if err != nil {
@@ -219,8 +320,21 @@ func buildCoverIndex(d *DB, name string, aux *Table) error {
 	posCol := aux.Columns.ColIndex("pos")
 	hashCol := aux.Columns.ColIndex("gramhash")
 	err = aux.Scan(func(_ store.RID, row Row) error {
-		return bt.Insert(uint64(row[hashCol].I), CoverValue(row[idCol].I, int(row[posCol].I)))
+		id := row[idCol].I
+		if id < 0 || id >= int64(len(sums)) {
+			return fmt.Errorf("db: %s holds a gram of id %d, which is not a loaded row", aux.Name, id)
+		}
+		v, err := CoverValue(id, int(row[posCol].I), sums[id].plen, sums[id].weak)
+		if err != nil {
+			return err
+		}
+		return bt.Insert(uint64(row[hashCol].I), v)
 	})
+	for _, e := range weakList {
+		if err == nil {
+			err = bt.Insert(e.key, e.val)
+		}
+	}
 	if err == nil && d.wal != nil {
 		// As in CreateIndex: the unlogged bulk build must be durable
 		// before the catalog change naming it can commit.

@@ -11,7 +11,12 @@ import (
 // PipelineCounters accumulates per-stage execution counters across
 // queries: rows probed, candidates admitted to DP verification, rows
 // pruned by the length and count filters, DP cells evaluated, matches
-// reported, and q-gram signature-cache hits. All fields are atomics so
+// reported, and q-gram signature-cache hits. Rows probed are the rows a
+// plan decided on, each pruned by exactly one filter or a candidate —
+// for the stored q-gram plan the rows whose postings it read (dismissed
+// on the postings alone, or fetched), not the whole table: a row that
+// shares no gram with the query and that the residual sweep can skip is
+// never counted. All fields are atomics so
 // morsel workers and concurrent sessions can record without a lock;
 // Reset and Snapshot additionally serialize against each other (see
 // below) so a snapshot never observes a half-applied reset.

@@ -63,11 +63,42 @@ func BenchmarkBTreeLookup(b *testing.B) {
 	for i := 0; i < n; i++ {
 		bt.Insert(uint64(i), uint64(i))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vals, err := bt.Lookup(uint64(i % n))
 		if err != nil || len(vals) != 1 {
 			b.Fatal("lookup failed")
+		}
+	}
+}
+
+// BenchmarkBTreeSeekScan reads one posting list: a Seek and a walk over
+// the 1,000 entries of a key, eight half-full leaves, with the iterator.
+// The pool holds the whole tree, so no page fault is counted.
+func BenchmarkBTreeSeekScan(b *testing.B) {
+	bt, err := OpenBTree(b.TempDir()+"/b.db", 2048)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer bt.Close()
+	const keys, run = 100, 1000
+	for k := 0; k < keys; k++ {
+		for v := 0; v < run; v++ {
+			bt.Insert(uint64(k), uint64(v))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := uint64(i % keys)
+		n := 0
+		it := bt.Seek(key)
+		for k, _, ok := it.Next(); ok && k == key; k, _, ok = it.Next() {
+			n++
+		}
+		if it.Err() != nil || n != run {
+			b.Fatal("scan lost entries")
 		}
 	}
 }

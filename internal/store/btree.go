@@ -273,11 +273,9 @@ func setInnerEntry(p *Page, i int, k uint64, child PageID) {
 	binary.LittleEndian.PutUint32(p.Data[innerHdr+i*innerEntry+8:], uint32(child))
 }
 
-// childFor returns the rightmost child page whose range covers key —
-// the insert path (new duplicates go to the right of existing ones).
-func childFor(p *Page, key uint64) PageID {
-	n := nodeCount(p)
-	lo, hi := 0, n // first i with innerKey(i) > key
+// innerUpperBound returns the first index i with innerKey(i) > key.
+func innerUpperBound(p *Page, key uint64) int {
+	lo, hi := 0, nodeCount(p)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if innerKey(p, mid) > key {
@@ -286,10 +284,17 @@ func childFor(p *Page, key uint64) PageID {
 			lo = mid + 1
 		}
 	}
-	if lo == 0 {
+	return lo
+}
+
+// childFor returns the rightmost child page whose range covers key —
+// the insert path (new duplicates go to the right of existing ones).
+func childFor(p *Page, key uint64) PageID {
+	i := innerUpperBound(p, key)
+	if i == 0 {
 		return innerLeft(p)
 	}
-	return innerChild(p, lo-1)
+	return innerChild(p, i-1)
 }
 
 // seekChild returns the leftmost child page that can contain the first
@@ -428,7 +433,7 @@ func (t *BTree) insertAtDepth(id PageID, key, value uint64, depth int) (uint64, 
 		return 0, 0, false, err
 	}
 	defer t.pg.Unpin(p)
-	return t.insertInner(p, promo, right)
+	return t.insertInner(p, key, promo, right)
 }
 
 func (t *BTree) insertLeaf(p *Page, key, value uint64) (uint64, PageID, bool, error) {
@@ -484,19 +489,14 @@ func (t *BTree) insertLeaf(p *Page, key, value uint64) (uint64, PageID, bool, er
 	return rest[0].k, right.ID, true, nil
 }
 
-func (t *BTree) insertInner(p *Page, key uint64, child PageID) (uint64, PageID, bool, error) {
+// insertInner adds the separator key and right child that a split of
+// childFor(p, inserted) promoted. The entry goes directly after that
+// child, found the way childFor found it: searching by the promoted key
+// instead would, among separators equal to it, put the new page to the
+// right of pages the leaf chain (and key order) put it before.
+func (t *BTree) insertInner(p *Page, inserted, key uint64, child PageID) (uint64, PageID, bool, error) {
 	n := nodeCount(p)
-	// Find insert position: first i with key(i) > key.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if innerKey(p, mid) > key {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	i := lo
+	i := innerUpperBound(p, inserted)
 	if n < maxInnerKeys {
 		copy(p.Data[innerHdr+(i+1)*innerEntry:innerHdr+(n+1)*innerEntry], p.Data[innerHdr+i*innerEntry:innerHdr+n*innerEntry])
 		setInnerEntry(p, i, key, child)
@@ -594,13 +594,19 @@ func (t *BTree) Seek(key uint64) *Iterator {
 	}
 }
 
+// loadLeaf buffers entries [from, n) of leaf p. Both columns share one
+// allocation of exactly the size the leaf needs (a point lookup lands
+// mid-leaf and reads no further), reused while later leaves fit it.
 func (it *Iterator) loadLeaf(p *Page, from int) {
-	n := nodeCount(p)
-	it.keys = it.keys[:0]
-	it.vals = it.vals[:0]
-	for i := from; i < n; i++ {
-		it.keys = append(it.keys, leafKey(p, i))
-		it.vals = append(it.vals, leafVal(p, i))
+	m := nodeCount(p) - from
+	if cap(it.keys) < m {
+		buf := make([]uint64, 2*m)
+		it.keys, it.vals = buf[:m:m], buf[m:]
+	}
+	it.keys, it.vals = it.keys[:m], it.vals[:m]
+	for i := range it.keys {
+		it.keys[i] = leafKey(p, from+i)
+		it.vals[i] = leafVal(p, from+i)
 	}
 	it.idx = 0
 	it.next = leafNext(p)

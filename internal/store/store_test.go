@@ -508,6 +508,51 @@ func TestBTreeDuplicateRunsStraddlingSplits(t *testing.T) {
 	}
 }
 
+// TestBTreeSplitBelowARunOfEqualKeys: a leaf that ends in a run of one
+// key, while the run goes on in the leaves to its right, splits inside
+// the run when smaller keys fill it; the separator it promotes equals
+// the ones already there and must land directly after the leaf that
+// split, not after them — or the new leaf hangs in the tree to the right
+// of leaves the chain puts it before, the next larger key is inserted
+// into it, and Lookup stops there, losing the rest of the run.
+func TestBTreeSplitBelowARunOfEqualKeys(t *testing.T) {
+	bt, err := OpenBTree(tempPath(t, "b.db"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Close()
+	insert := func(k, v uint64) {
+		t.Helper()
+		if err := bt.Insert(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const run = 3 * maxLeafKeys
+	insert(5, 0)
+	for v := uint64(0); v < run; v++ {
+		insert(10, v)
+	}
+	for v := uint64(1); v <= maxLeafKeys; v++ {
+		insert(5, v)
+	}
+	insert(20, 0)
+	if issues := bt.Check(); len(issues) != 0 {
+		t.Errorf("check: %d issues, first: %s", len(issues), issues[0])
+	}
+	vals, err := bt.Lookup(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != run {
+		t.Fatalf("Lookup(10) returned %d of %d duplicates", len(vals), run)
+	}
+	for i, v := range vals {
+		if v != uint64(i) {
+			t.Fatalf("Lookup(10)[%d] = %d", i, v)
+		}
+	}
+}
+
 func TestQuickHeapOracle(t *testing.T) {
 	// Randomized insert/delete/get against a map oracle.
 	h, err := OpenHeap(tempPath(t, "h.db"), 32)
