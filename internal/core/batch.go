@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"lexequal/internal/editdist"
 	"lexequal/internal/phoneme"
 	"lexequal/internal/qgram"
@@ -93,47 +95,54 @@ func (b *Batch) ProjLen(i int) int { return int(b.plen[i]) }
 type PhonemeSource func(dst phoneme.String, i int) phoneme.String
 
 // batchBuilder is the one place a batch's per-row columns are computed.
-// The scalar columns are allocated for all n rows up front and indexed
-// globally; fill may then run on disjoint row ranges from different
-// lanes, each appending the phonemes to a column of its own.
+// The scalar columns are sized for a batch's rows up front and indexed
+// by row; fill may then run on disjoint row ranges of one batch from
+// different lanes, each appending the phonemes to a column of its own.
 type batchBuilder struct {
 	op   *Operator
 	kern *editdist.Bitvec // nil = no kernel signature column
 	sigQ int              // 0 = no prefilter columns
-	cols Batch            // the scalar columns; phon unused
 }
 
-// newBatchBuilder sizes the scalar columns of an n-row batch. The
-// kernel signature column is built when k requests the bit-parallel
-// kernel and the operator's cost model compiles; sigQ > 0 additionally
-// builds the signature-prefilter columns (projected lengths and q-gram
-// Bloom signatures at gram length sigQ).
-func (op *Operator) newBatchBuilder(n int, k Kernel, sigQ int) *batchBuilder {
-	bb := &batchBuilder{op: op, kern: op.compileKernel(k), sigQ: sigQ}
-	bb.cols.wk = make([]int32, n)
+// newBatchBuilder selects a batch's columns. The kernel signature column
+// is built when k requests the bit-parallel kernel and the operator's
+// cost model compiles; sigQ > 0 additionally builds the
+// signature-prefilter columns (projected lengths and q-gram Bloom
+// signatures at gram length sigQ).
+func (op *Operator) newBatchBuilder(k Kernel, sigQ int) batchBuilder {
+	return batchBuilder{op: op, kern: op.compileKernel(k), sigQ: sigQ}
+}
+
+// size readies b's scalar columns for rows [0, n), reusing their
+// storage; the columns the builder does not compute are nil.
+func (bb *batchBuilder) size(b *Batch, n int) {
+	b.wk = slices.Grow(b.wk[:0], n)[:n]
 	if bb.kern != nil {
-		bb.cols.ksig = make([]uint64, n)
+		b.ksig = slices.Grow(b.ksig[:0], n)[:n]
+	} else {
+		b.ksig = nil
 	}
-	if sigQ > 0 {
-		bb.cols.plen = make([]int32, n)
-		bb.cols.gsig = make([]uint64, n)
+	if bb.sigQ > 0 {
+		b.plen = slices.Grow(b.plen[:0], n)[:n]
+		b.gsig = slices.Grow(b.gsig[:0], n)[:n]
+	} else {
+		b.plen, b.gsig = nil, nil
 	}
-	return bb
 }
 
-// fill appends rows [lo, hi) of src to phon and computes their scalar
-// columns; proj is the caller's projection scratch.
-func (bb *batchBuilder) fill(phon *Column, proj *phoneme.String, src PhonemeSource, lo, hi int) {
+// fill appends rows [lo, hi) of src to b's phoneme column and computes
+// their scalar columns; proj is the caller's projection scratch.
+func (bb *batchBuilder) fill(b *Batch, proj *phoneme.String, src PhonemeSource, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		p := phon.appendFrom(src, i)
-		bb.cols.wk[i] = int32(editdist.WeakCount(p))
+		p := b.phon.appendFrom(src, i)
+		b.wk[i] = int32(editdist.WeakCount(p))
 		if bb.kern != nil {
-			bb.cols.ksig[i] = bb.kern.CandSig(p)
+			b.ksig[i] = bb.kern.CandSig(p)
 		}
 		if bb.sigQ > 0 {
 			*proj = bb.op.encoder.AppendProject((*proj)[:0], p)
-			bb.cols.plen[i] = int32(len(*proj))
-			bb.cols.gsig[i] = qgram.Signature(*proj, bb.sigQ)
+			b.plen[i] = int32(len(*proj))
+			b.gsig[i] = qgram.Signature(*proj, bb.sigQ)
 		}
 	}
 }
@@ -152,13 +161,12 @@ func (op *Operator) BuildBatch(rows []phoneme.String, k Kernel, sigQ int) *Batch
 // buildBatch is the builder run inline over all n rows of src into one
 // column, presized for phonemes phonemes in all.
 func (op *Operator) buildBatch(n int, src PhonemeSource, k Kernel, sigQ, phonemes int) *Batch {
-	bb := op.newBatchBuilder(n, k, sigQ)
-	b := bb.cols // the batch outlives the builder: share the columns, not the struct
-	b.phon.buf = make([]phoneme.Phoneme, 0, phonemes)
-	b.phon.offs = make([]int32, 0, n+1)
+	bb := op.newBatchBuilder(k, sigQ)
+	b := &Batch{phon: Column{buf: make([]phoneme.Phoneme, 0, phonemes), offs: make([]int32, 0, n+1)}}
+	bb.size(b, n)
 	var proj phoneme.String
-	bb.fill(&b.phon, &proj, src, 0, n)
-	return &b
+	bb.fill(b, &proj, src, 0, n)
+	return b
 }
 
 // sliceSource serves rows already in memory.

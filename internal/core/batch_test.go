@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"lexequal/internal/phoneme"
@@ -299,6 +301,47 @@ func TestVerifyBuildsPerMorselLikeWholeBatch(t *testing.T) {
 			if !reflect.DeepEqual(got, want) || st != wantSt {
 				t.Errorf("kernel %v workers %d: Verify = %v %+v, whole-batch reference %v %+v", k, w, got, st, want, wantSt)
 			}
+			// VerifyFetched over morsels of 7 rows, each batched on its own.
+			const per = 7
+			got, st, err := VerifyFetched(op, qp, 0.3, (len(rows)+per-1)/per, DefaultQ, sf.Admit,
+				func(m int, verify func(int, PhonemeSource) []int) ([]int, error) {
+					lo, hi := m*per, min((m+1)*per, len(rows))
+					var out []int
+					for _, i := range verify(hi-lo, sliceSource(rows[lo:hi])) {
+						out = append(out, lo+i)
+					}
+					return out, nil
+				}, Parallel(w), WithKernel(k))
+			if err != nil || !reflect.DeepEqual(got, want) || st != wantSt {
+				t.Errorf("kernel %v workers %d: VerifyFetched = %v %+v (%v), whole-batch reference %v %+v", k, w, got, st, err, want, wantSt)
+			}
+		}
+	}
+}
+
+// TestVerifyFetchedFirstErrorInMorselOrder: when morsels fail, the error
+// returned at every width is the lowest failing morsel's, and the serial
+// run stops there.
+func TestVerifyFetchedFirstErrorInMorselOrder(t *testing.T) {
+	op := newOp(t)
+	qp, err := op.Transform("Nehru", "english")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const morsels = 40
+	fails := map[int]error{9: errors.New("morsel 9"), 23: errors.New("morsel 23")}
+	for _, w := range append(workerCounts(), 8) {
+		var started [morsels]atomic.Bool
+		_, _, err := VerifyFetched(op, qp, 0.3, morsels, DefaultQ, nil,
+			func(m int, verify func(int, PhonemeSource) []int) ([]int, error) {
+				started[m].Store(true)
+				return nil, fails[m]
+			}, Parallel(w))
+		if err != fails[9] {
+			t.Errorf("workers %d: %v, want morsel 9's error", w, err)
+		}
+		if w == 1 && started[10].Load() {
+			t.Error("the serial run went on past the failed morsel")
 		}
 	}
 }

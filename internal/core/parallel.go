@@ -76,12 +76,14 @@ type Lane struct {
 	bv     *editdist.Bitvec
 	bvInit bool
 
-	// batch is the lane-private batch of a storage-fed scan: the scan's
-	// shared scalar columns plus this lane's own phoneme column, refilled
-	// for each morsel the lane claims; proj is the builder's projection
-	// scratch.
-	batch Batch
-	proj  phoneme.String
+	// batch is the lane-private batch of a storage-fed scan, refilled for
+	// each morsel the lane claims: Verify's shared scalar columns plus
+	// this lane's own phoneme column, or — for VerifyFetched — columns of
+	// the lane's own for the morsel's rows. proj is the builder's
+	// projection scratch; matches is VerifyFetched's result buffer.
+	batch   Batch
+	proj    phoneme.String
+	matches []int
 }
 
 // kernel returns the lane-private bit-parallel kernel, compiling it
@@ -108,20 +110,44 @@ func (ln *Lane) harvest() Stats {
 // worker everything runs inline on the calling goroutine, so the serial
 // strategies are literally the parallel ones at width 1.
 func RunMorsels[T any](n, workers int, process func(ln *Lane, lo, hi int) []T) ([][]T, Stats) {
-	numMorsels := (n + MorselSize - 1) / MorselSize
-	out := make([][]T, numMorsels)
-	if workers > numMorsels {
-		workers = numMorsels
+	out, st, _ := runMorsels((n+MorselSize-1)/MorselSize, workers, func(ln *Lane, m int) ([]T, error) {
+		lo, hi := morselBounds(m, n)
+		return process(ln, lo, hi), nil
+	})
+	return out, st
+}
+
+// runMorsels is the scheduler under RunMorsels: workers claim morsel
+// indexes 0..count-1 in ascending order from an atomic counter and store
+// each morsel's output in its slot. process may fail; the error returned
+// is that of the lowest failing morsel — the one a serial run meets
+// first — so it is the same at any width, and once a failure is known no
+// morsel after it is started.
+func runMorsels[T any](count, workers int, process func(ln *Lane, m int) ([]T, error)) ([][]T, Stats, error) {
+	out := make([][]T, count)
+	if workers > count {
+		workers = count
 	}
 	if workers <= 1 {
 		ln := Lane{Scratch: editdist.NewScratch()}
-		for m := 0; m < numMorsels; m++ {
-			lo, hi := morselBounds(m, n)
-			out[m] = process(&ln, lo, hi)
+		for m := 0; m < count; m++ {
+			var err error
+			if out[m], err = process(&ln, m); err != nil {
+				return nil, Stats{}, err
+			}
 		}
-		return out, ln.harvest()
+		return out, ln.harvest(), nil
 	}
 	var next atomic.Int64
+	// stop is the lowest failing morsel so far (count: none); the claim
+	// loop reads it lock-free, and mu orders its updates with first, that
+	// morsel's error.
+	var (
+		mu    sync.Mutex
+		first error
+		stop  atomic.Int64
+	)
+	stop.Store(int64(count))
 	lanes := make([]Lane, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -131,20 +157,30 @@ func RunMorsels[T any](n, workers int, process func(ln *Lane, lo, hi int) []T) (
 			ln.Scratch = editdist.NewScratch()
 			for {
 				m := int(next.Add(1)) - 1
-				if m >= numMorsels {
+				if m >= count || int64(m) > stop.Load() {
 					return
 				}
-				lo, hi := morselBounds(m, n)
-				out[m] = process(ln, lo, hi)
+				var err error
+				if out[m], err = process(ln, m); err != nil {
+					mu.Lock()
+					if int64(m) < stop.Load() {
+						first = err
+						stop.Store(int64(m))
+					}
+					mu.Unlock()
+				}
 			}
 		}(&lanes[w])
 	}
 	wg.Wait()
+	if first != nil {
+		return nil, Stats{}, first
+	}
 	var st Stats
 	for i := range lanes {
 		st.Add(lanes[i].harvest())
 	}
-	return out, st
+	return out, st, nil
 }
 
 func morselBounds(m, n int) (lo, hi int) {

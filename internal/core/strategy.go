@@ -303,30 +303,35 @@ func (c *Corpus) Q() int { return c.q }
 func verify(n int, batchFor func(ln *Lane, lo, hi int) *Batch, rowAt func(j int) int, pm *BatchMatcher, workers int,
 	skip func(i int) bool, admit func(b *Batch, i int, st *Stats) bool) ([]int, Stats) {
 	chunks, st := RunMorsels(n, workers, func(ln *Lane, lo, hi int) []int {
-		b := batchFor(ln, lo, hi)
-		var out []int
-		for j := lo; j < hi; j++ {
-			i := j
-			if rowAt != nil {
-				i = rowAt(j)
-			}
-			if skip != nil && skip(i) {
-				continue
-			}
-			ln.Stats.Rows++
-			if admit != nil && !admit(b, i, &ln.Stats) {
-				continue
-			}
-			ln.Stats.Candidates++
-			if pm.Match(b, i, ln) {
-				out = append(out, i)
-			}
-		}
-		return out
+		return ln.selectRange(batchFor(ln, lo, hi), lo, hi, rowAt, pm, skip, admit, nil)
 	})
 	out := MergeChunks(chunks)
 	st.Matches = len(out)
 	return out, st
+}
+
+// selectRange is verify's loop over candidates [lo, hi) of one morsel,
+// whose rows are in b; it appends the matches to out.
+func (ln *Lane) selectRange(b *Batch, lo, hi int, rowAt func(j int) int, pm *BatchMatcher,
+	skip func(i int) bool, admit func(b *Batch, i int, st *Stats) bool, out []int) []int {
+	for j := lo; j < hi; j++ {
+		i := j
+		if rowAt != nil {
+			i = rowAt(j)
+		}
+		if skip != nil && skip(i) {
+			continue
+		}
+		ln.Stats.Rows++
+		if admit != nil && !admit(b, i, &ln.Stats) {
+			continue
+		}
+		ln.Stats.Candidates++
+		if pm.Match(b, i, ln) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // Verify is the selection loop for n candidates fetched from storage,
@@ -342,17 +347,56 @@ func verify(n int, batchFor func(ln *Lane, lo, hi int) *Batch, rowAt func(j int)
 func (op *Operator) Verify(qp phoneme.String, threshold float64, n int, src PhonemeSource, sigQ int,
 	admit func(b *Batch, i int, st *Stats) bool, opts ...ExecOption) ([]int, Stats) {
 	o := resolveOpts(opts)
-	bb := op.newBatchBuilder(n, o.kernel, sigQ)
+	bb := op.newBatchBuilder(o.kernel, sigQ)
+	var cols Batch // the scalar columns of all n rows; each lane fills its morsels' ranges
+	bb.size(&cols, n)
 	fill := func(ln *Lane, lo, hi int) *Batch {
 		b := &ln.batch
-		b.wk, b.ksig, b.plen, b.gsig = bb.cols.wk, bb.cols.ksig, bb.cols.plen, bb.cols.gsig
+		b.wk, b.ksig, b.plen, b.gsig = cols.wk, cols.ksig, cols.plen, cols.gsig
 		b.phon.reset(lo)
-		bb.fill(&b.phon, &ln.proj, src, lo, hi)
+		bb.fill(b, &ln.proj, src, lo, hi)
 		return b
 	}
 	out, st := verify(n, fill, nil, op.NewBatchMatcher(qp, threshold, o.kernel), o.workers, nil, admit)
 	st.BatchesBuilt++
 	return out, st
+}
+
+// VerifyFetched is Verify for candidates that are fetched on the pool
+// too: the source is split into morsels (ranges of heap pages, say),
+// and process runs once per morsel m in [0, morsels) on the lane that
+// claims it. It fetches the morsel's candidates into storage of its own
+// and calls verify with their count and phonemes, indexed from zero;
+// verify batches, counts, filters (admit) and verifies them against qp
+// in the lane — the loop Verify runs — and returns the indexes of the
+// matches in order, valid until the next call on the lane; process
+// turns them into the morsel's output. The outputs are concatenated in
+// morsel order, so they and the Stats are identical at any width. The
+// first error in morsel order is returned, and once one is known no
+// later morsel starts.
+func VerifyFetched[T any](op *Operator, qp phoneme.String, threshold float64, morsels, sigQ int,
+	admit func(b *Batch, i int, st *Stats) bool,
+	process func(m int, verify func(n int, src PhonemeSource) []int) ([]T, error),
+	opts ...ExecOption) ([]T, Stats, error) {
+	o := resolveOpts(opts)
+	bb := op.newBatchBuilder(o.kernel, sigQ)
+	pm := op.NewBatchMatcher(qp, threshold, o.kernel)
+	chunks, st, err := runMorsels(morsels, o.workers, func(ln *Lane, m int) ([]T, error) {
+		return process(m, func(n int, src PhonemeSource) []int {
+			b := &ln.batch
+			bb.size(b, n)
+			b.phon.reset(0)
+			bb.fill(b, &ln.proj, src, 0, n)
+			ln.matches = ln.selectRange(b, 0, n, nil, pm, nil, admit, ln.matches[:0])
+			ln.Stats.Matches += len(ln.matches)
+			return ln.matches
+		})
+	})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	st.BatchesBuilt++
+	return MergeChunks(chunks), st, nil
 }
 
 // Select finds the rows matching query at the threshold, restricted to

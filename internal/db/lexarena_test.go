@@ -2,25 +2,35 @@ package db
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lexequal/internal/core"
 	"lexequal/internal/dataset"
 	"lexequal/internal/metrics"
+	"lexequal/internal/phoneme"
 	"lexequal/internal/script"
 	"lexequal/internal/store"
 	"lexequal/internal/ttp"
 )
 
-// arenaFixture loads a names table that spans three morsels and then
-// disturbs it the ways a plan's arena must be indifferent to: rows
-// deleted before the snapshot (gone), rows inserted with a NULL pname
-// (their phonemes come from the Op.Transform fallback), and — after the
-// snapshot cfg.Snap is taken — more inserts (not yet there) and a delete
-// (still there). It returns the ids involved.
+// arenaFixture loads a names table that spans four verification
+// morsels and three page morsels, over a pool it is several times the size
+// of, and then disturbs it the ways a plan's arena must be indifferent
+// to: rows deleted before the snapshot (gone; among them the last row of
+// the first page morsel and the first of the second), rows inserted with
+// a NULL pname (their phonemes come from the Op.Transform fallback), and
+// — after the snapshot cfg.Snap is taken — more inserts (not yet there,
+// enough to fill a page) and a delete of the row that opens the second
+// page morsel (still there). It returns the ids involved.
 type arenaFixture struct {
 	cfg     *LexConfig
 	texts   []core.Text
@@ -28,6 +38,37 @@ type arenaFixture struct {
 	nullPh  []int64 // inserted before the snapshot with NULL pname; copies of texts[id-1000]
 	late    []int64 // inserted after the snapshot
 	lateDel int64   // deleted after the snapshot
+}
+
+// smallPool is the per-file buffer pool of the scan fixtures: their
+// heaps are several times its size, so a scan faults page after page.
+const smallPool = 5
+
+// smallPoolNames bulk-loads texts into a names table and reopens the
+// database, WAL on, with a pool of smallPool pages per file.
+func smallPoolNames(t *testing.T, op *core.Operator, texts []core.Text) (*DB, *LexConfig) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "db")
+	err := BuildAtomic(dir, Options{}, func(d *DB) error {
+		_, err := CreateNameTable(d, "names", op, texts, NameTableSpec{WithAux: true, WithIndexes: true})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenWithCache(dir, smallPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	cfg, err := ResolveLexConfig(d, "names", op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages := int(cfg.Table.Heap.Pager().NumPages()) - 1; pages < 3*smallPool || pages <= scanMorselPages {
+		t.Fatalf("the heap has %d data pages: too few for the pool of %d and morsels of %d", pages, smallPool, scanMorselPages)
+	}
+	return d, cfg
 }
 
 func newArenaFixture(t *testing.T) *arenaFixture {
@@ -39,23 +80,24 @@ func newArenaFixture(t *testing.T) *arenaFixture {
 	}
 	all := lex.Texts()
 	var texts []core.Text
-	for _, i := range rand.New(rand.NewSource(23)).Perm(len(all))[:2*core.MorselSize+40] {
+	for _, i := range rand.New(rand.NewSource(23)).Perm(len(all))[:3*core.MorselSize+40] {
 		texts = append(texts, all[i])
 	}
-	d := openDB(t)
-	cfg, err := CreateNameTable(d, "names", op, texts, NameTableSpec{WithAux: true, WithIndexes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &arenaFixture{cfg: cfg, texts: texts, gone: []int64{3, 255, 256, 400}, lateDel: 7}
+	d, cfg := smallPoolNames(t, op, texts)
 	rids := map[int64]store.RID{}
+	byPage := map[store.PageID][]int64{}
 	err = cfg.Table.Scan(func(rid store.RID, row Row) error {
-		rids[row[cfg.IDCol].I] = rid
+		id := row[cfg.IDCol].I
+		rids[id] = rid
+		byPage[rid.Page] = append(byPage[rid.Page], id)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The rows either side of the first page-morsel boundary.
+	last, next := byPage[scanMorselPages], byPage[scanMorselPages+1]
+	f := &arenaFixture{cfg: cfg, texts: texts, gone: []int64{3, 255, 256, 400, last[len(last)-1]}, lateDel: next[0]}
 	// insert stores a copy of texts[src] under a new id, with its pname
 	// or with NULL there.
 	insert := func(id int64, src int, stored bool) {
@@ -87,6 +129,10 @@ func newArenaFixture(t *testing.T) *arenaFixture {
 	for _, src := range []int{0, 1, 5} {
 		f.late = append(f.late, int64(2000+src))
 		insert(int64(2000+src), src, true)
+	}
+	for src := 10; src < 60; src++ { // onto a page the snapshot never saw
+		f.late = append(f.late, int64(3000+src))
+		insert(int64(3000+src), src, true)
 	}
 	if err := cfg.Table.Delete(rids[f.lateDel]); err != nil {
 		t.Fatal(err)
@@ -139,12 +185,14 @@ var lexScans = map[core.Strategy]func(*LexConfig, core.Text, float64, core.LangS
 }
 
 // TestLexPlansIdenticalAtAnyWidth is the plan-identity gate for the
-// arena and the per-morsel batch build: tokenizing, signatures, filters
-// and kernel all run on the pool, and none of it may show in a result.
+// arena and the per-morsel batch build: the naive scan's page walk,
+// tokenizing, signatures, filters and kernel all run on the pool, and
+// none of it may show in a result.
 func TestLexPlansIdenticalAtAnyWidth(t *testing.T) {
 	f := newArenaFixture(t)
 	cfg := f.cfg
-	queries := []core.Text{f.texts[0], f.texts[1], f.texts[2], f.texts[300], f.texts[3], f.texts[7], f.texts[5], f.texts[511]}
+	queries := []core.Text{f.texts[0], f.texts[1], f.texts[2], f.texts[300], f.texts[3], f.texts[7], f.texts[5], f.texts[511],
+		f.texts[f.gone[len(f.gone)-1]], f.texts[f.lateDel], f.texts[10]}
 	someLangs := core.NewLangSet(script.English, script.Hindi)
 	for _, strat := range []core.Strategy{core.Naive, core.QGram, core.Indexed} {
 		for _, langs := range []core.LangSet{nil, someLangs} {
@@ -205,6 +253,223 @@ func TestLexPlansOnEmptyTable(t *testing.T) {
 		if len(base.rows)+len(join.rows) != 0 {
 			t.Errorf("%v: %d scan rows and %d join rows from an empty table", strat, len(base.rows), len(join.rows))
 		}
+	}
+}
+
+// TestLexScanNaiveSeesItsSnapshotUnderWriter: while another session
+// inserts matching rows and deletes rows all over the heap, each width-4
+// scan returns exactly the matches of the snapshot it ran under — what a
+// scan holding the heap latch throughout finds in that snapshot.
+func TestLexScanNaiveSeesItsSnapshotUnderWriter(t *testing.T) {
+	op := core.MustNew(core.Options{})
+	texts := generatedTexts(t, op, 800)
+	d, cfg := smallPoolNames(t, op, texts)
+	q := texts[0]
+	qp, err := op.Transform(q.Value, q.Lang)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rids []store.RID
+	err = cfg.Table.Scan(func(rid store.RID, _ Row) error {
+		rids = append(rids, rid)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(s *Snap) []int64 {
+		var ids []int64
+		err := cfg.Table.ScanSnap(s, func(_ store.RID, row Row) error {
+			if op.MatchPhonemes(qp, phoneme.ParseLenient(row[cfg.PhonCol].S), 0.25) {
+				ids = append(ids, row[cfg.IDCol].I)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return ids
+	}
+
+	// The writer inserts a copy of the query's row and deletes a loaded
+	// row, one autocommit statement each, until stopped.
+	var commits atomic.Int64
+	stop, werr := make(chan struct{}), make(chan error, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		gid := int64(op.Encoder().Encode(qp))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			err := errors.Join(
+				func() error {
+					_, err := cfg.Table.Insert(Row{Int(int64(10000 + i)), NStr(q.Value, q.Lang), Str(qp.IPA()), Int(gid)})
+					return err
+				}(),
+				cfg.Table.Delete(rids[(i*37+11)%len(rids)]))
+			if err != nil && !errors.Is(err, store.ErrDeleted) {
+				werr <- err
+				return
+			}
+			commits.Add(1)
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+		select {
+		case err := <-werr:
+			t.Fatalf("writer: %v", err)
+		default:
+		}
+	}()
+
+	sizes := map[int]bool{}
+	for i := 0; i < 12; i++ {
+		// Let the writer commit between scans, so every snapshot differs.
+		for seen := commits.Load(); commits.Load() == seen; runtime.Gosched() {
+			select {
+			case err := <-werr:
+				t.Fatalf("writer: %v", err)
+			default:
+			}
+		}
+		run := *cfg
+		run.Snap, run.Workers = d.AcquireSnap(), 4
+		got := planIDs(t, NewLexScanNaive(&run, q, 0.25, nil), cfg.IDCol)
+		exp := want(run.Snap)
+		d.ReleaseSnap(run.Snap)
+		if !reflect.DeepEqual(got, exp) {
+			t.Fatalf("scan %d: %v, its snapshot holds %v", i, got, exp)
+		}
+		sizes[len(exp)] = true
+	}
+	if len(sizes) < 2 {
+		t.Errorf("every snapshot held the same number of matches (%v): the writer made no difference", sizes)
+	}
+}
+
+// TestLexScanNaiveCorruptPage: a damaged page mid-heap fails the scan
+// with the same error at every width — the first damaged page in heap
+// order, though a later one sits in another morsel — leaving no pin held
+// and no goroutine running; once repaired, the table checks clean and
+// answers as before.
+func TestLexScanNaiveCorruptPage(t *testing.T) {
+	op := core.MustNew(core.Options{})
+	texts := generatedTexts(t, op, 1200)
+	d, cfg := smallPoolNames(t, op, texts)
+	q := texts[0]
+	scan := func(workers int) ([]Row, error) {
+		run := *cfg
+		run.Workers = workers
+		return Collect(NewLexScanNaive(&run, q, 0.25, nil))
+	}
+	clean, err := scan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bad := []store.PageID{2*scanMorselPages - 2, 3*scanMorselPages - 1} // two morsels, the first one's later
+	heap, err := os.OpenFile(d.heapPath("names"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer heap.Close()
+	flip := func() {
+		t.Helper()
+		for _, id := range bad {
+			var b [1]byte
+			off := int64(id)*store.PageSize + 100
+			if _, err := heap.ReadAt(b[:], off); err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 0x40
+			if _, err := heap.WriteAt(b[:], off); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flip()
+
+	goroutines := runtime.NumGoroutine()
+	var first error
+	for _, workers := range []int{1, 2, 0, 4} {
+		// More scans than the pool has pages: a pin leaked per failed scan
+		// would exhaust it and change the error.
+		for rep := 0; rep < smallPool+1; rep++ {
+			_, err := scan(workers)
+			var cpe *store.CorruptPageError
+			if !errors.As(err, &cpe) || cpe.Page != bad[0] {
+				t.Fatalf("workers=%d: %v, want the corruption of page %d", workers, err, bad[0])
+			}
+			if first == nil {
+				first = err
+			} else if err.Error() != first.Error() {
+				t.Errorf("workers=%d: %v, workers=1 reported %v", workers, err, first)
+			}
+		}
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the failed scans, %d before", n, goroutines)
+	}
+
+	flip()
+	if issues := d.Check(); len(issues) != 0 {
+		t.Fatalf("check after the repair: %v", issues)
+	}
+	rows, err := scan(2)
+	if err != nil || !reflect.DeepEqual(rows, clean) {
+		t.Errorf("after the repair: %d rows (%v), %d before the damage", len(rows), err, len(clean))
+	}
+}
+
+// BenchmarkLexScanNaive times the Table-1 plan on 10,000 generated names
+// at the paper's threshold, over a 200-page pool the heap does not fit
+// in (every page faults, as in the bench's scan_naive), at width 2: one
+// query per iteration, drawn in turn from a seeded sample of the table.
+func BenchmarkLexScanNaive(b *testing.B) {
+	const rows = 10000
+	op := core.MustNew(core.Options{})
+	texts := generatedTexts(b, op, rows)
+	dir := b.TempDir() + "/db"
+	err := BuildAtomic(dir, Options{}, func(d *DB) error {
+		_, err := CreateNameTable(d, "names", op, texts, NameTableSpec{WithAux: true, WithIndexes: true})
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := OpenWithCache(dir, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	cfg, err := ResolveLexConfig(d, "names", op)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if pages := cfg.Table.Heap.Pager().NumPages(); pages <= 200 {
+		b.Fatalf("the heap has %d pages: it fits in the pool", pages)
+	}
+	cfg.Workers = 2
+	picks := rand.New(rand.NewSource(1)).Perm(rows)[:50]
+	matches := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		found, err := Collect(NewLexScanNaive(cfg, texts[picks[i%len(picks)]], 0.25, nil))
+		if err != nil {
+			b.Fatal(err)
+		}
+		matches += len(found)
+	}
+	if matches < b.N {
+		b.Fatalf("%d matches over %d queries: a query must find at least its own row", matches, b.N)
 	}
 }
 

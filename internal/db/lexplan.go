@@ -60,13 +60,14 @@ type LexConfig struct {
 	// transaction's snapshot like any other read.
 	Snap *Snap
 
-	// Workers sets the parallelism of the lex nodes. Page access stays on
-	// the calling goroutine — it walks the heap or probes the indexes and
-	// copies each visible candidate's record into an arena — and
-	// everything after that (locating and tokenizing the stored phonemes,
-	// the batch columns, the filters, the kernel) runs per morsel on a
-	// core pool of this width (core.Parallel). 1 runs the same code
-	// inline, 0 means GOMAXPROCS; results are identical at any width.
+	// Workers sets the parallelism of the lex nodes. The naive scan runs
+	// whole on a core pool of this width (core.Parallel), each morsel a
+	// range of heap pages walked, verified and decoded by one lane; the
+	// index plans probe on the calling goroutine, copying each visible
+	// candidate's record into an arena, and run everything after that
+	// (tokenizing the stored phonemes, the batch columns, the filters,
+	// the kernel) per morsel on the pool. 1 runs the same code inline, 0
+	// means GOMAXPROCS; results are identical at any width.
 	Workers int
 	// Kernel selects the verification kernel (SET lexequal_kernel).
 	// Auto engages the bit-parallel kernel whenever the operator's cost
@@ -125,10 +126,11 @@ type lexCand struct {
 
 // lexCands is what a source fetched: an arena of the raw record bodies
 // of the candidates — rows the snapshot sees, in a language the query
-// asks for, that have a phoneme string. The fetching goroutine does the
-// page access, the visibility check and one copy per row; tokenizing
-// the stored phonemes is left to the verification pool (phonemes) and
-// only matches are ever decoded (row).
+// asks for, that have a phoneme string. The fetching goroutine (a pool
+// lane, for one morsel of the naive scan) does the page access, the
+// visibility check and one copy per row; tokenizing the stored phonemes
+// is left to the verification loop (phonemes) and only matches are ever
+// decoded (row).
 type lexCands struct {
 	cfg   *LexConfig
 	langs core.LangSet
@@ -144,16 +146,20 @@ type lexCands struct {
 	pre core.Stats
 }
 
-// candsPool recycles arenas across queries: a scan's arena is as large
-// as the heap it read, and allocating and zeroing one per query was
-// most of a scan's garbage.
+// candsPool recycles arenas across queries and morsels: a whole-table
+// arena is as large as the heap it read, and allocating and zeroing one
+// per query was most of a scan's garbage.
 var candsPool = sync.Pool{New: func() any { return new(lexCands) }}
 
-// newCands readies an arena for about expect candidates of the table.
-// The caller releases it once the matches are decoded.
+// newCands readies an arena for about expect candidates of the table (0:
+// unknown, let it grow). The caller releases it once the matches are
+// decoded.
 func (cfg *LexConfig) newCands(langs core.LangSet, expect int) *lexCands {
 	cs := candsPool.Get().(*lexCands)
 	cs.cfg, cs.langs = cfg, langs
+	if expect <= 0 {
+		return cs
+	}
 	count := int(cfg.Table.Count())
 	if expect > count {
 		expect = count
@@ -216,10 +222,11 @@ func (cs *lexCands) add(body []byte, want func(id int64) bool) error {
 	return nil
 }
 
-// scan adds every row of the table the snapshot sees (and want accepts).
-func (cs *lexCands) scan(want func(id int64) bool) error {
+// scan adds every row on the heap's data pages in [lo, hi) that the
+// snapshot sees (and want accepts); [1, store.InvalidPage) is the table.
+func (cs *lexCands) scan(lo, hi store.PageID, want func(id int64) bool) error {
 	t := cs.cfg.Table
-	return t.scanBodies(cs.cfg.Snap, func(rid store.RID, body []byte) error {
+	return t.scanBodies(cs.cfg.Snap, lo, hi, func(rid store.RID, body []byte) error {
 		if err := cs.add(body, want); err != nil {
 			return fmt.Errorf("db: %s at %v: %w", t.Name, rid, err)
 		}
@@ -228,21 +235,17 @@ func (cs *lexCands) scan(want func(id int64) bool) error {
 }
 
 // fetch probes ix for key and adds every row visible under the snapshot
-// (stale index entries and invisible versions are skipped).
+// (stale index entries and invisible versions are skipped), copying each
+// record once: from its pinned page into the arena.
 func (cs *lexCands) fetch(ix *Index, key uint64) error {
 	rids, err := ix.Tree.Lookup(key)
 	if err != nil {
 		return err
 	}
+	add := func(body []byte) error { return cs.add(body, nil) }
 	for _, packed := range rids {
-		body, err := cs.cfg.Table.getBody(cs.cfg.Snap, store.UnpackRID(packed))
-		if errors.Is(err, store.ErrDeleted) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if err := cs.add(body, nil); err != nil {
+		err := cs.cfg.Table.viewBody(cs.cfg.Snap, store.UnpackRID(packed), add)
+		if err != nil && !errors.Is(err, store.ErrDeleted) {
 			return err
 		}
 	}
@@ -283,6 +286,11 @@ func (cs *lexCands) verify(qp phoneme.String, threshold float64, sigQ int,
 	idx, st := cfg.Op.Verify(qp, threshold, len(cs.rows), cs.phonemes, sigQ, admit, core.Parallel(cfg.Workers), core.WithKernel(cfg.Kernel))
 	st.Add(cs.pre)
 	cfg.record(st)
+	return cs.decode(idx)
+}
+
+// decode decodes the candidates at idx, in order.
+func (cs *lexCands) decode(idx []int) ([]Row, error) {
 	var rows []Row
 	for _, i := range idx {
 		row, err := cs.row(i)
@@ -339,24 +347,45 @@ func GramHash(key string) int64 {
 	return int64(h.Sum64() & 0x7FFFFFFFFFFFFFFF)
 }
 
+// scanMorselPages is how many heap pages one morsel of the naive scan
+// covers: about core.MorselSize rows of a names table, which holds ~38
+// a page.
+const scanMorselPages = 8
+
 // NewLexScanNaive builds the Table-1 plan: a sequential scan invoking
-// the LexEQUAL UDF on every row. The scan copies the visible rows'
-// records into the arena; core tokenizes them, runs the batched
-// signature prefilter and verifies them, morsel by morsel. Output order
-// is table scan order regardless of parallelism.
+// the LexEQUAL UDF on every row. The heap is split into ranges of
+// scanMorselPages pages, and each is a morsel of core's pool from the
+// page walk on: the lane that claims it reads its pages under the heap's
+// shared latch, copies the visible rows' records into an arena of its
+// own, then tokenizes them, runs the batched signature prefilter,
+// verifies them and decodes the matches. Output order is table scan
+// order regardless of parallelism.
 func NewLexScanNaive(cfg *LexConfig, query core.Text, threshold float64, langs core.LangSet) Node {
 	qp, err := cfg.Op.Transform(query.Value, query.Lang)
 	if err != nil {
 		return ErrNode("lexequal: %v", err)
 	}
 	return &lexRowsNode{cols: cfg.Table.Columns, run: func() ([]Row, error) {
-		cs := cfg.newCands(langs, int(cfg.Table.Count()))
-		defer cs.release()
-		if err := cs.scan(nil); err != nil {
+		// Rows the snapshot sees were committed before it was taken, so
+		// they lie on pages that existed then; a nil snapshot (no WAL) has
+		// a single writer.
+		pages := int(cfg.Table.Heap.Pager().NumPages()) - 1
+		sf := cfg.Op.NewSigFilter(qp, threshold, cfg.Q)
+		rows, st, err := core.VerifyFetched(cfg.Op, qp, threshold, (pages+scanMorselPages-1)/scanMorselPages, cfg.Q, sf.Admit,
+			func(m int, verify func(int, core.PhonemeSource) []int) ([]Row, error) {
+				lo := store.PageID(1 + m*scanMorselPages)
+				cs := cfg.newCands(langs, 0)
+				defer cs.release()
+				if err := cs.scan(lo, lo+scanMorselPages, nil); err != nil {
+					return nil, err
+				}
+				return cs.decode(verify(len(cs.rows), cs.phonemes))
+			}, core.Parallel(cfg.Workers), core.WithKernel(cfg.Kernel))
+		if err != nil {
 			return nil, err
 		}
-		sf := cfg.Op.NewSigFilter(qp, threshold, cfg.Q)
-		return cs.verify(qp, threshold, cfg.Q, sf.Admit)
+		cfg.record(st)
+		return rows, nil
 	}}
 }
 
@@ -611,7 +640,7 @@ func NewLexScanQGram(cfg *LexConfig, query core.Text, threshold float64, langs c
 		// One scan serves both the plan without an id index (every id to
 		// fetch) and the residual sweep the weak list cannot serve.
 		if !byIndex || gp.heapSweep {
-			err = cs.scan(func(id int64) bool {
+			err = cs.scan(1, store.InvalidPage, func(id int64) bool {
 				return !byIndex && gp.fetches(id) || gp.heapSweep && !gp.seen(id)
 			})
 			if err != nil {
@@ -671,7 +700,7 @@ func JoinKernel(left, right *LexConfig) (core.Kernel, string) {
 // phonemes, batched under op.
 func (cfg *LexConfig) materialize(op *core.Operator) (*lexCands, *core.Corpus, error) {
 	cs := cfg.newCands(nil, int(cfg.Table.Count()))
-	if err := cs.scan(nil); err != nil {
+	if err := cs.scan(1, store.InvalidPage, nil); err != nil {
 		cs.release()
 		return nil, nil, err
 	}

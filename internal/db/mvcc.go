@@ -113,7 +113,14 @@ func (d *DB) ReleaseSnap(s *Snap) {
 // at the GC horizon. Either way it committed below every live
 // snapshot's horizon — so an unknown xmin is visible (frozen) and an
 // unknown nonzero xmax hides the row.
+//
+// A frozen, never-claimed version (xmin = xmax = 0: every bulk-loaded
+// row) is in every snapshot, and is decided before the registry lock is
+// taken.
 func (d *DB) visible(s *Snap, xmin, xmax uint64) bool {
+	if xmin == 0 && xmax == 0 {
+		return true
+	}
 	if s == nil {
 		return xmax == 0
 	}
@@ -388,35 +395,33 @@ func (t *Table) claimRow(tx *Tx, rid store.RID) error {
 
 // GetSnap fetches the row at rid as snapshot s sees it; a version
 // outside the snapshot reports store.ErrDeleted, same as a tombstone.
-func (t *Table) GetSnap(s *Snap, rid store.RID) (Row, error) {
-	body, err := t.getBody(s, rid)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRow(body, len(t.Columns))
+func (t *Table) GetSnap(s *Snap, rid store.RID) (row Row, err error) {
+	err = t.viewBody(s, rid, func(body []byte) error {
+		row, err = DecodeRow(body, len(t.Columns))
+		return err
+	})
+	return row, err
 }
 
-// getBody is GetSnap short of decoding: the encoded row body, in a
-// buffer the caller owns.
-func (t *Table) getBody(s *Snap, rid store.RID) ([]byte, error) {
-	rec, err := t.Heap.Get(rid)
-	if err != nil {
-		return nil, err
-	}
-	xmin, xmax, body, err := splitVersion(rec)
-	if err != nil {
-		return nil, err
-	}
-	if !t.db.visible(s, xmin, xmax) {
-		return nil, fmt.Errorf("db: %s at %v: %w", t.Name, rid, store.ErrDeleted)
-	}
-	return body, nil
+// viewBody is GetSnap short of decoding: fn sees the encoded row body,
+// aliasing the pinned page — valid only until fn returns.
+func (t *Table) viewBody(s *Snap, rid store.RID, fn func(body []byte) error) error {
+	return t.Heap.View(rid, func(rec []byte) error {
+		xmin, xmax, body, err := splitVersion(rec)
+		if err != nil {
+			return err
+		}
+		if !t.db.visible(s, xmin, xmax) {
+			return fmt.Errorf("db: %s at %v: %w", t.Name, rid, store.ErrDeleted)
+		}
+		return fn(body)
+	})
 }
 
 // ScanSnap invokes fn for each row snapshot s sees, in RID order.
 func (t *Table) ScanSnap(s *Snap, fn func(rid store.RID, row Row) error) error {
 	n := len(t.Columns)
-	return t.scanBodies(s, func(rid store.RID, body []byte) error {
+	return t.scanBodies(s, 1, store.InvalidPage, func(rid store.RID, body []byte) error {
 		row, err := DecodeRow(body, n)
 		if err != nil {
 			return fmt.Errorf("db: %s at %v: %w", t.Name, rid, err)
@@ -425,11 +430,11 @@ func (t *Table) ScanSnap(s *Snap, fn func(rid store.RID, row Row) error) error {
 	})
 }
 
-// scanBodies is ScanSnap short of decoding: fn sees the encoded body of
-// each row in the snapshot, aliasing the pinned page — valid only until
-// fn returns.
-func (t *Table) scanBodies(s *Snap, fn func(rid store.RID, body []byte) error) error {
-	return t.Heap.Scan(func(rid store.RID, rec []byte) error {
+// scanBodies is ScanSnap short of decoding, over the heap's data pages
+// in [lo, hi): fn sees the encoded body of each row in the snapshot,
+// aliasing the pinned page — valid only until fn returns.
+func (t *Table) scanBodies(s *Snap, lo, hi store.PageID, fn func(rid store.RID, body []byte) error) error {
+	return t.Heap.ScanPages(lo, hi, func(rid store.RID, rec []byte) error {
 		xmin, xmax, body, err := splitVersion(rec)
 		if err != nil {
 			return fmt.Errorf("db: %s at %v: %w", t.Name, rid, err)

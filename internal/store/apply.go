@@ -35,18 +35,20 @@ func (pg *Pager) ApplyImage(id PageID, payload []byte, lsn uint64) error {
 	if pg.closed {
 		return fmt.Errorf("store: apply image to page %d of %s: %w", id, pg.path, os.ErrClosed)
 	}
-	p, ok := pg.cache[id]
-	if ok {
-		if p.pins == 0 {
-			pg.lruRemove(p)
+	var p *Page
+	for p == nil {
+		cached, ok := pg.cache[id]
+		if !ok {
+			var err error
+			if p, err = pg.fault(id); err != nil {
+				return err
+			}
+			clear(p.Data[:])
+		} else if pg.pinLocked(cached) == nil {
+			p = cached
 		}
-		p.pins++
-	} else {
-		var err error
-		p, err = pg.fault(id)
-		if err != nil {
-			return err
-		}
+		// A load that failed while we waited left the cache; look again,
+		// since another Get may have begun one since.
 	}
 	if uint32(id) >= pg.numPages {
 		pg.numPages = uint32(id) + 1

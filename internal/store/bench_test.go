@@ -102,3 +102,28 @@ func BenchmarkBTreeSeekScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPagerMiss is the cost of a buffer-pool miss in steady state:
+// a cyclic sweep over twice as many pages as the pool holds, so every
+// Get evicts the least recently used page and reads its own.
+func BenchmarkPagerMiss(b *testing.B) {
+	const pool = 64
+	pg, err := OpenPager(pagedFile(b, 2*pool), pool)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pg.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := pg.Get(PageID(i % (2 * pool)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pg.Unpin(p)
+	}
+	b.StopTimer()
+	if _, _, hits, _ := pg.Stats(); hits != 0 {
+		b.Fatalf("%d of %d Gets hit the pool", hits, b.N)
+	}
+}

@@ -343,33 +343,44 @@ func (h *HeapFile) insertLocked(rec []byte) (RID, error) {
 
 // Get returns a copy of the record at rid.
 func (h *HeapFile) Get(rid RID) ([]byte, error) {
+	var rec []byte
+	err := h.View(rid, func(raw []byte) error {
+		rec = make([]byte, len(raw))
+		copy(rec, raw)
+		return nil
+	})
+	return rec, err
+}
+
+// View invokes fn with the record at rid, aliasing the pinned page:
+// like Scan's, the slice is valid only during the call. It fails as Get
+// does, and otherwise returns fn's error.
+func (h *HeapFile) View(rid RID, fn func(rec []byte) error) error {
 	h.latch.RLock()
 	defer h.latch.RUnlock()
 	if rid.Page == 0 {
-		return nil, fmt.Errorf("store: rid %v addresses the meta page", rid)
+		return fmt.Errorf("store: rid %v addresses the meta page", rid)
 	}
 	p, err := h.pg.Get(rid.Page)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer h.pg.Unpin(p)
 	n, freeOff, err := h.pageSlots(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if int(rid.Slot) >= n {
-		return nil, fmt.Errorf("store: rid %v slot out of range (%d slots)", rid, n)
+		return fmt.Errorf("store: rid %v slot out of range (%d slots)", rid, n)
 	}
 	raw, err := h.slotRecord(p, int(rid.Slot), freeOff)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if raw == nil {
-		return nil, fmt.Errorf("store: rid %v: %w", rid, ErrDeleted)
+		return fmt.Errorf("store: rid %v: %w", rid, ErrDeleted)
 	}
-	rec := make([]byte, len(raw))
-	copy(rec, raw)
-	return rec, nil
+	return fn(raw)
 }
 
 // Delete tombstones the record at rid, logging against the attached
@@ -517,9 +528,18 @@ func (h *HeapFile) patchLocked(rid RID, off int, data []byte) error {
 // The structure read latch is held for the whole scan, so a full Scan
 // observes a consistent heap even with concurrent writers.
 func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
+	return h.ScanPages(1, InvalidPage, fn)
+}
+
+// ScanPages is Scan over the data pages in [lo, hi), clipped to the
+// file, under one hold of the read latch. A scan split into page ranges
+// (one per pool worker, see internal/db) calls it once per range, so no
+// goroutine holds the latch while another waits to take it — which,
+// with a writer queued between the two, would deadlock.
+func (h *HeapFile) ScanPages(lo, hi PageID, fn func(rid RID, rec []byte) error) error {
 	h.latch.RLock()
 	defer h.latch.RUnlock()
-	for id := PageID(1); uint32(id) < h.pg.NumPages(); id++ {
+	for id := max(lo, 1); id < hi && uint32(id) < h.pg.NumPages(); id++ {
 		if err := h.scanPage(id, fn); err != nil {
 			if errors.Is(err, ErrStopScan) {
 				return nil

@@ -67,6 +67,14 @@ type Page struct {
 
 	pins  int
 	dirty bool
+	// loading marks a frame whose read from disk is in flight outside the
+	// pager latch: it is installed pinned, so it is never a victim, and
+	// its Data belongs to the reading goroutine until the load is
+	// published. loadErr is a failed load's error, kept for the Gets that
+	// waited on a frame the failure removed from the cache. Both are
+	// guarded by the pager latch.
+	loading bool
+	loadErr error
 	// lsn is the LSN of the page's latest log record (0 when the page
 	// was never logged). Guarded by the pager latch on every access
 	// that can race (LogCaptured vs. write-back).
@@ -78,7 +86,7 @@ type Page struct {
 	// Set by LogCaptured when zero, cleared by write-back. Guarded by
 	// the pager latch like lsn.
 	recLSN uint64
-	pg  *Pager
+	pg     *Pager
 	// LRU bookkeeping.
 	prev, next *Page
 }
@@ -104,11 +112,18 @@ var ErrPoolExhausted = errors.New("buffer pool exhausted")
 // must not run concurrently with writers.
 type Pager struct {
 	// mu is the pager latch: it protects the page map, the LRU list,
-	// pin counts, the page count and the I/O statistics. I/O on fault
-	// and eviction happens while holding it — a coarse latch, chosen
-	// because the workloads are cache-resident and correctness under
-	// many sessions matters more than read-miss overlap.
-	mu       sync.Mutex
+	// pin counts, the page count and the I/O statistics. A miss reads
+	// its page with the latch released (see Get), so concurrent scans
+	// overlap their reads instead of queueing on the latch through every
+	// fault; write-back — of a dirty victim on eviction, and in Flush —
+	// stays under it, which keeps the WAL rule check and the write one
+	// step.
+	mu sync.Mutex
+	// loaded is signalled whenever a load is published; Gets of a page
+	// still loading, and Close, wait on it. loads counts the reads in
+	// flight.
+	loaded   sync.Cond
+	loads    int
 	f        File
 	path     string
 	numPages uint32
@@ -163,13 +178,15 @@ func OpenPagerFS(path string, capacity int, fs VFS) (*Pager, error) {
 			Reason: fmt.Sprintf("size %d is not page aligned (truncated write?)", st.Size())}
 		return nil, errors.Join(corrupt, f.Close())
 	}
-	return &Pager{
+	pg := &Pager{
 		f:        f,
 		path:     path,
 		numPages: uint32(st.Size() / PageSize),
 		capacity: capacity,
 		cache:    make(map[PageID]*Page),
-	}, nil
+	}
+	pg.loaded.L = &pg.mu
+	return pg, nil
 }
 
 // NumPages returns the current number of pages in the file.
@@ -200,11 +217,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // be a full page; the pageLSN bytes at [UsableSize:UsableSize+8) are
 // included, so they must be stamped first.
 func pageCRC(id PageID, data []byte) uint32 {
-	var idb [4]byte
-	binary.LittleEndian.PutUint32(idb[:], uint32(id))
 	crc := crc32.Update(0, castagnoli, data[:UsableSize])
-	crc = crc32.Update(crc, castagnoli, idb[:])
-	return crc32.Update(crc, castagnoli, data[UsableSize:UsableSize+8])
+	// The page number's four little-endian bytes go through the table by
+	// hand, as crc32.Update would: a buffer handed to Update escapes, and
+	// would cost an allocation per page read.
+	crc = ^crc
+	for i := 0; i < 4; i++ {
+		crc = castagnoli[byte(crc)^byte(uint32(id)>>(8*i))] ^ crc>>8
+	}
+	return crc32.Update(^crc, castagnoli, data[UsableSize:UsableSize+8])
 }
 
 // stampTrailer writes the integrity trailer prior to write-back.
@@ -212,13 +233,13 @@ func stampTrailer(p *Page) {
 	StampPageImage(p.ID, p.Data[:], p.lsn)
 }
 
-// verifyPage checks the trailer of a page freshly read from disk.
-func (pg *Pager) verifyPage(p *Page) error {
+// verifyPage checks the trailer of a page freshly read from disk and
+// returns its pageLSN.
+func (pg *Pager) verifyPage(p *Page) (uint64, error) {
 	stored := binary.LittleEndian.Uint32(p.Data[UsableSize+8:])
 	version := binary.LittleEndian.Uint16(p.Data[UsableSize+12:])
 	if lsn, ok := PageImageLSN(p.ID, p.Data[:]); ok {
-		p.lsn = lsn
-		return nil
+		return lsn, nil
 	}
 	zero := true
 	for _, b := range p.Data {
@@ -229,54 +250,117 @@ func (pg *Pager) verifyPage(p *Page) error {
 	}
 	switch {
 	case zero:
-		return &CorruptPageError{Path: pg.path, Page: p.ID,
+		return 0, &CorruptPageError{Path: pg.path, Page: p.ID,
 			Reason: "page is all zeros (torn or never-completed write)"}
 	case version != FormatVersion:
-		return &CorruptPageError{Path: pg.path, Page: p.ID,
+		return 0, &CorruptPageError{Path: pg.path, Page: p.ID,
 			Reason: fmt.Sprintf("format version %d (this build reads version %d)", version, FormatVersion)}
 	default:
-		return &CorruptPageError{Path: pg.path, Page: p.ID,
+		return 0, &CorruptPageError{Path: pg.path, Page: p.ID,
 			Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", stored, pageCRC(p.ID, p.Data[:]))}
 	}
 }
 
 // Get returns page id pinned. The caller must Unpin it. Pages read
 // from disk are checksum-verified; damage returns a CorruptPageError.
+//
+// A miss installs the page's frame pinned and marked loading, then reads
+// and verifies it with the latch released and publishes the outcome. A
+// Get of the same page meanwhile pins the frame and waits for the load;
+// a failed load removes the frame, and every waiter returns the same
+// error, holding no pin.
 func (pg *Pager) Get(id PageID) (*Page, error) {
 	pg.mu.Lock()
-	defer pg.mu.Unlock()
-	if pg.closed {
-		return nil, fmt.Errorf("store: get page %d of %s: %w", id, pg.path, os.ErrClosed)
+	p, miss, err := pg.getLocked(id)
+	pg.mu.Unlock()
+	if !miss {
+		return p, err
 	}
-	if uint32(id) >= pg.numPages {
-		return nil, fmt.Errorf("store: page %d out of range (file has %d)", id, pg.numPages)
-	}
-	if p, ok := pg.cache[id]; ok {
-		pg.hits++
-		if p.pins == 0 {
-			pg.lruRemove(p)
-		}
-		p.pins++
-		return p, nil
-	}
-	pg.misses++
-	p, err := pg.fault(id)
+	lsn, read, err := pg.load(p)
+	pg.mu.Lock()
+	pg.publishLocked(p, lsn, read, err)
+	pg.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pg.f.ReadAt(p.Data[:], int64(id)*PageSize); err != nil {
-		delete(pg.cache, id)
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, &CorruptPageError{Path: pg.path, Page: id, Reason: "page lies beyond end of file (truncated)"}
-		}
-		return nil, fmt.Errorf("store: read page %d of %s: %w", id, pg.path, err)
-	}
-	pg.reads++
-	if err := pg.verifyPage(p); err != nil {
-		delete(pg.cache, id)
-		return nil, err
-	}
 	return p, nil
+}
+
+// getLocked pins id's cached frame, once its load (if any) is published,
+// or installs a fresh loading frame for it and reports a miss.
+func (pg *Pager) getLocked(id PageID) (p *Page, miss bool, err error) {
+	if pg.closed {
+		return nil, false, fmt.Errorf("store: get page %d of %s: %w", id, pg.path, os.ErrClosed)
+	}
+	if uint32(id) >= pg.numPages {
+		return nil, false, fmt.Errorf("store: page %d out of range (file has %d)", id, pg.numPages)
+	}
+	if p, ok := pg.cache[id]; ok {
+		pg.hits++
+		if err := pg.pinLocked(p); err != nil {
+			return nil, false, err
+		}
+		return p, false, nil
+	}
+	pg.misses++
+	if p, err = pg.fault(id); err != nil {
+		return nil, false, err
+	}
+	p.loading = true
+	pg.loads++
+	return p, true, nil
+}
+
+// pinLocked pins cached frame p and waits until its load is published
+// (the wait releases the latch). A failed load has removed the frame
+// from the cache, and the pin with it; its error is returned.
+func (pg *Pager) pinLocked(p *Page) error {
+	if p.pins == 0 {
+		pg.lruRemove(p)
+	}
+	p.pins++
+	for p.loading {
+		pg.loaded.Wait()
+	}
+	return p.loadErr
+}
+
+// load reads and verifies loading frame p, whose Data is its own until
+// published; read reports whether the read itself succeeded.
+func (pg *Pager) load(p *Page) (lsn uint64, read bool, err error) {
+	if _, err := pg.f.ReadAt(p.Data[:], int64(p.ID)*PageSize); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return 0, false, &CorruptPageError{Path: pg.path, Page: p.ID, Reason: "page lies beyond end of file (truncated)"}
+		}
+		return 0, false, fmt.Errorf("store: read page %d of %s: %w", p.ID, pg.path, err)
+	}
+	lsn, err = pg.verifyPage(p)
+	return lsn, true, err
+}
+
+// publishLocked ends p's load and wakes its waiters: on success the
+// frame holds the page, on failure it leaves the cache.
+func (pg *Pager) publishLocked(p *Page, lsn uint64, read bool, err error) {
+	if read {
+		pg.reads++
+	}
+	p.loading = false
+	pg.loads--
+	if err != nil {
+		p.loadErr = err
+		delete(pg.cache, p.ID)
+	} else {
+		p.lsn = lsn
+	}
+	pg.loaded.Broadcast()
+}
+
+// drainLoadsLocked waits until no read is in flight, so the file may
+// close under none.
+func (pg *Pager) drainLoadsLocked() {
+	for pg.loads > 0 {
+		pg.loaded.Wait()
+	}
 }
 
 // Allocate appends a zeroed page to the file and returns it pinned and
@@ -297,6 +381,7 @@ func (pg *Pager) Allocate() (*Page, error) {
 		pg.numPages--
 		return nil, err
 	}
+	clear(p.Data[:])
 	p.dirty = true
 	if pg.capturing {
 		pg.captured[id] = struct{}{}
@@ -304,8 +389,12 @@ func (pg *Pager) Allocate() (*Page, error) {
 	return p, nil
 }
 
-// fault makes room and installs a fresh pinned cache entry for id.
+// fault makes room and installs a pinned cache entry for id, clean and
+// unlogged. When the pool is full the entry is the frame of the page it
+// evicted, recycled rather than allocated, so Data holds that page's
+// bytes: Get reads over all of them, Allocate and ApplyImage clear them.
 func (pg *Pager) fault(id PageID) (*Page, error) {
+	var p *Page
 	for len(pg.cache) >= pg.capacity {
 		// Walk from the LRU tail past pages the WAL policy pins in
 		// memory: no-steal means a page dirtied by a live transaction
@@ -321,8 +410,15 @@ func (pg *Pager) fault(id PageID) (*Page, error) {
 		if err := pg.evict(victim); err != nil {
 			return nil, err
 		}
+		p = victim
 	}
-	p := &Page{ID: id, pins: 1, pg: pg}
+	if p == nil {
+		p = &Page{pg: pg}
+	}
+	// Every field but Data, reset one by one: assigning a fresh Page
+	// would clear the 4 KB a read is about to overwrite.
+	p.ID, p.pins, p.dirty, p.lsn, p.recLSN = id, 1, false, 0, 0
+	p.loading, p.loadErr = false, nil
 	pg.cache[id] = p
 	return p, nil
 }
@@ -370,6 +466,9 @@ func (pg *Pager) evict(p *Page) error {
 	return nil
 }
 
+// writeBack writes dirty page p to disk (pg.mu held). A frame still
+// loading is clean by construction, so its bytes — the reader's until
+// published — are never touched here.
 func (pg *Pager) writeBack(p *Page) error {
 	if !p.dirty {
 		return nil
@@ -478,6 +577,7 @@ func (pg *Pager) MinRecLSN() (min uint64, ok bool) {
 // that is still live (no-steal) are dropped, not written: uncommitted
 // data must never reach disk, and the WAL holds nothing to redo it
 // with — exactly the crash semantics an unfinished transaction gets.
+// Reads in flight finish before the file closes.
 func (pg *Pager) Close() error {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
@@ -485,6 +585,7 @@ func (pg *Pager) Close() error {
 		return nil
 	}
 	pg.closed = true
+	pg.drainLoadsLocked()
 	var first error
 	for _, p := range pg.cache {
 		if !pg.evictable(p) {

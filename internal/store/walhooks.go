@@ -159,6 +159,7 @@ func (pg *Pager) Discard() error {
 		return nil
 	}
 	pg.closed = true
+	pg.drainLoadsLocked()
 	err := pg.f.Close()
 	pg.cache = make(map[PageID]*Page)
 	pg.lruHead, pg.lruTail = nil, nil
