@@ -6,7 +6,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lockgraph test race fuzz-smoke bench bench-smoke bench-module serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
+.PHONY: all build vet lint lint-json lockgraph test race fuzz-smoke bench bench-smoke bench-module perf-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
 
 all: build
 
@@ -66,6 +66,13 @@ bench-smoke:
 bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
+# The paper's Table 2 experiment at 20k rows into a throwaway directory,
+# so cmd/perf's load path (DESIGN.md §11: bulk loads go through
+# BuildAtomic, not one WAL transaction) cannot break unnoticed.
+perf-smoke:
+	@dir=$$(mktemp -d) && $(GO) run ./cmd/perf -dir $$dir -rows 20000 -table 2 -queries 3; \
+	status=$$?; rm -rf $$dir; exit $$status
+
 # Run each native fuzz target briefly; a regression in either parser
 # robustness, TTP conversion, WAL replay, kernel equivalence, the IPA
 # tokenizer (trie vs the substring-map reference) or the gram posting
@@ -109,7 +116,7 @@ mvcc-smoke:
 	$(GO) test -race -count=1 -run 'TestMVCCSmoke|TestSelectNeverBlocksBehindWriter|TestWriteWriteConflictAbortsAndRetries' ./internal/sql/
 	$(GO) test -race -count=1 -run 'TestMVCC' ./internal/db/
 
-ci: vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke bench-module
+ci: vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke bench-module perf-smoke
 
 clean:
 	$(GO) clean ./...

@@ -12,6 +12,7 @@ package lexequal
 //	Fig 10/13: dataset construction and length distributions
 //	Fig 11/12: the recall/precision sweep machinery
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -75,19 +76,11 @@ func getFixture(b *testing.B) *benchFixture {
 			for i, e := range f.gen {
 				texts[i] = e.Text
 			}
-			f.d, err = db.Open(f.dir + "/full")
+			f.d, f.cfg, err = loadNames(f.dir+"/full", f.op, texts)
 			if err != nil {
 				return err
 			}
-			f.cfg, err = db.CreateNameTable(f.d, "names", f.op, texts, db.NameTableSpec{WithAux: true, WithIndexes: true})
-			if err != nil {
-				return err
-			}
-			f.sub, err = db.Open(f.dir + "/sub")
-			if err != nil {
-				return err
-			}
-			f.subCfg, err = db.CreateNameTable(f.sub, "names", f.op, texts[:benchJoinRows], db.NameTableSpec{WithAux: true, WithIndexes: true})
+			f.sub, f.subCfg, err = loadNames(f.dir+"/sub", f.op, texts[:benchJoinRows])
 			if err != nil {
 				return err
 			}
@@ -102,6 +95,28 @@ func getFixture(b *testing.B) *benchFixture {
 		b.Fatal(fixErr)
 	}
 	return fix
+}
+
+// loadNames bulk-loads texts into a names table at dir through
+// db.BuildAtomic — a WAL-backed load is one transaction whose dirty
+// pages must fit the buffer pool — and reopens it WAL-backed.
+func loadNames(dir string, op *core.Operator, texts []core.Text) (*db.DB, *db.LexConfig, error) {
+	err := db.BuildAtomic(dir, db.Options{}, func(d *db.DB) error {
+		_, err := db.CreateNameTable(d, "names", op, texts, db.NameTableSpec{WithAux: true, WithIndexes: true})
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := db.Open(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg, err := db.ResolveLexConfig(d, "names", op)
+	if err != nil {
+		return nil, nil, errors.Join(err, d.Close())
+	}
+	return d, cfg, nil
 }
 
 func (f *benchFixture) query(i int) core.Text { return f.queries[i%len(f.queries)] }

@@ -141,19 +141,33 @@ func (fx *fixture) open() error {
 	return nil
 }
 
+// openOrBuild opens the names database at dir, first loading it when
+// the table is absent. The load goes through db.BuildAtomic (no WAL,
+// stage-and-rename): a WAL-backed load is one transaction, and under
+// no-steal its dirty pages must fit the buffer pool. The queries then
+// run on a WAL-backed open, as a server would serve them.
 func openOrBuild(dir string, op *core.Operator, texts []core.Text) (*db.DB, *db.LexConfig, error) {
 	d, err := db.Open(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	if _, ok := d.Table("names"); !ok {
+		if err := d.Close(); err != nil {
+			return nil, nil, err
+		}
 		fmt.Printf("loading %d rows into %s (heap + q-grams + indexes)...\n", len(texts), dir)
 		start := time.Now()
-		if _, err := db.CreateNameTable(d, "names", op, texts, db.NameTableSpec{WithAux: true, WithIndexes: true}); err != nil {
-			d.Close()
+		err := db.BuildAtomic(dir, db.Options{}, func(d *db.DB) error {
+			_, err := db.CreateNameTable(d, "names", op, texts, db.NameTableSpec{WithAux: true, WithIndexes: true})
+			return err
+		})
+		if err != nil {
 			return nil, nil, err
 		}
 		fmt.Printf("  loaded in %v\n\n", time.Since(start))
+		if d, err = db.Open(dir); err != nil {
+			return nil, nil, err
+		}
 	}
 	cfg, err := db.ResolveLexConfig(d, "names", op)
 	if err != nil {

@@ -142,17 +142,16 @@ type DB struct {
 	replica bool
 	// appliedLSN is the replica's applied horizon (guarded by stmu).
 	appliedLSN uint64
-	// pmu guards the replica apply loop's side tables below.
+	// pmu guards pending.
 	pmu sync.Mutex
 	// pending holds bare pagers for replicated page images whose file
 	// the catalog does not name yet (a CREATE TABLE's data pages stream
 	// before its catalog record commits).
 	pending map[string]*store.Pager
-	// pendingCat buffers replicated catalog images per transaction
-	// until the transaction commits.
-	pendingCat map[uint64][]byte
-	// replayStats describes the restart replay a replica open ran.
-	replayStats wal.ReplayStats
+	// applier interprets replicated records: the restart replay's
+	// machine, continued into the pagers. Used by the open path and the
+	// single apply loop only.
+	applier *wal.Applier
 
 	// ckptMu serializes checkpoints (never held together with qmu or
 	// txmu — the checkpoint takes qmu shared in short rounds).
@@ -275,32 +274,11 @@ func OpenOpts(dir string, opts Options) (*DB, error) {
 				return nil, errors.Join(err, l.Close())
 			}
 		} else if l.HasRecords() {
-			started := time.Now()
-			stats, err := wal.Redo(l, dir, fs)
+			rs, err := d.recoverFiles()
 			if err != nil {
 				return nil, errors.Join(fmt.Errorf("db: crash recovery: %w", err), l.Close())
 			}
-			// Redo skipped the losers' own page images, but committed
-			// images can embed loser rows; purge them by version header
-			// before the database serves anything. This runs before the
-			// log reset so a crash mid-purge reruns redo and purge from
-			// the same records.
-			purged, err := d.purgeLosers(stats.Losers)
-			if err != nil {
-				return nil, errors.Join(fmt.Errorf("db: crash recovery: %w", err), l.Close())
-			}
-			d.recovery = RecoveryStats{
-				Ran:      true,
-				Duration: time.Since(started),
-				Purged:   purged,
-				Redo: RedoSummary{
-					Floor:    stats.Floor,
-					Scanned:  stats.Scanned,
-					Skipped:  stats.Skipped,
-					Replayed: stats.Replayed,
-					Applied:  stats.Applied,
-				},
-			}
+			d.recovery = rs
 			// Recovery made everything the log proves durable in the
 			// data files; drop the history so the log stays small and
 			// transaction ids cannot collide with a previous life's.
@@ -332,6 +310,9 @@ func OpenOpts(dir string, opts Options) (*DB, error) {
 		if err := d.rebuildMissingIndexes(missingIdx); err != nil {
 			return nil, errors.Join(err, d.Close())
 		}
+	}
+	if opts.Replica {
+		d.applier.SetSink(replicaSink{d})
 	}
 	if err := d.sweepTmpDebris(); err != nil {
 		return nil, errors.Join(err, d.Close())

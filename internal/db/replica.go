@@ -95,10 +95,13 @@ func writeReplState(fs store.VFS, dir string, floor, applied uint64) error {
 }
 
 // openReplica is the replica arm of OpenOpts: instead of winner/loser
-// crash recovery it replays the local log from the persisted floor —
-// applying EVERY page image, because the live apply loop does too,
-// leaving visibility to the MVCC version headers — re-registers the
-// transactions still in flight on the primary, and leaves the log
+// crash recovery it steps the local log through an Applier with no
+// policy — every page image above the persisted floor applies to the
+// raw files, because the live apply loop applies them too, leaving
+// visibility to the MVCC version headers. OpenOpts switches the same
+// machine to the pagers once the objects are open, so transactions in
+// flight on the primary stay live and their catalog images stay
+// pending until the stream brings their terminators. The log is left
 // intact (its LSNs belong to the primary; Reset would sever the
 // stream).
 func (d *DB) openReplica() error {
@@ -107,38 +110,33 @@ func (d *DB) openReplica() error {
 	if err != nil {
 		return err
 	}
-	stats, err := wal.Replay(l, d.dir, d.fs, floor)
-	if err != nil {
+	files := wal.NewFileSink(d.dir, d.fs)
+	defer files.Close()
+	d.applier = wal.NewApplier(files, floor, nil)
+	if err := l.Records(d.applier.Step); err != nil {
 		return fmt.Errorf("db: replica replay: %w", err)
 	}
-	l.SeedLiveTxs(stats.Live)
+	if err := files.Finish(); err != nil {
+		return fmt.Errorf("db: replica replay: %w", err)
+	}
+	live := d.applier.Live()
+	l.SeedLiveTxs(live)
 	if floor > 0 {
 		if _, err := l.DeclareFloor(floor); err != nil {
 			return err
 		}
 	}
-	for txid := range stats.Live {
+	for txid := range live {
 		// Presence in the registry is all visibility needs; there is no
 		// local Tx to roll back (the primary owns these transactions),
 		// and Close knows not to try.
 		d.inflight[txid] = nil
-	}
-	// Catalog images logged by still-open transactions re-enter the
-	// pending buffer: the commit record yet to arrive from the stream
-	// publishes them, an abort drops them — exactly as if the crash had
-	// not happened.
-	if len(stats.LiveCatalogs) > 0 && d.pendingCat == nil {
-		d.pendingCat = make(map[uint64][]byte)
-	}
-	for txid, img := range stats.LiveCatalogs {
-		d.pendingCat[txid] = img
 	}
 	// Horizon seed: every commit in the local log is at or below the
 	// last LSN, so a snapshot at LastLSN sees all of them (the registry
 	// is empty — unknown xmin reads as anciently committed).
 	d.maxCommit = l.LastLSN()
 	d.appliedLSN = l.LastLSN()
-	d.replayStats = stats
 	return nil
 }
 
@@ -365,64 +363,43 @@ func (d *DB) applyCatalog(data []byte) error {
 	return d.writeCatalogNow(raw)
 }
 
-// applyRecord dispatches one replicated record. Records arrive in LSN
-// order; the transaction registry transitions keep concurrent read
-// snapshots consistent (a row's images are all applied before its
-// commit becomes visible).
-func (d *DB) applyRecord(r wal.Record) error {
-	switch r.Type {
-	case wal.RecBegin:
-		d.tmu.Lock()
-		if _, ok := d.inflight[r.TxID]; !ok {
-			d.inflight[r.TxID] = nil
-		}
-		d.tmu.Unlock()
-	case wal.RecCommit:
-		d.pmu.Lock()
-		catImage, ok := d.pendingCat[r.TxID]
-		if ok {
-			delete(d.pendingCat, r.TxID)
-		}
-		d.pmu.Unlock()
-		if ok {
-			if err := d.applyCatalog(catImage); err != nil {
-				return err
-			}
-		}
-		d.tmu.Lock()
-		d.committedAt[r.TxID] = r.LSN
-		if r.LSN > d.maxCommit {
-			d.maxCommit = r.LSN
-		}
-		delete(d.inflight, r.TxID)
-		d.tmu.Unlock()
-		d.stmu.Lock()
-		d.commits++
-		d.stmu.Unlock()
-	case wal.RecAbort:
-		// The abort trail's compensation images were applied like any
-		// others; dropping the registration makes the undone state the
-		// visible one.
-		d.pmu.Lock()
-		delete(d.pendingCat, r.TxID)
-		d.pmu.Unlock()
-		d.tmu.Lock()
-		delete(d.inflight, r.TxID)
-		d.tmu.Unlock()
-	case wal.RecPage:
-		return d.applyPage(r)
-	case wal.RecCatalog:
-		// Buffer until the transaction commits: catalog changes are
-		// DDL, and only finished DDL may restructure the replica
-		// (mirroring Redo's finished-transactions-only rule).
-		d.pmu.Lock()
-		if d.pendingCat == nil {
-			d.pendingCat = make(map[uint64][]byte)
-		}
-		d.pendingCat[r.TxID] = append([]byte(nil), r.Payload...)
-		d.pmu.Unlock()
+// replicaSink is the live replica's wal.Sink. Records arrive in LSN
+// order, and the registry transitions keep concurrent read snapshots
+// consistent: a row's images are all applied before its commit becomes
+// visible.
+type replicaSink struct{ d *DB }
+
+func (s replicaSink) Page(r wal.Record) (bool, error) { return true, s.d.applyPage(r) }
+
+func (s replicaSink) Catalog(r wal.Record) error { return s.d.applyCatalog(r.Payload) }
+
+func (s replicaSink) Begin(txid uint64) {
+	s.d.tmu.Lock()
+	s.d.inflight[txid] = nil
+	s.d.tmu.Unlock()
+}
+
+func (s replicaSink) Commit(txid, lsn uint64) {
+	d := s.d
+	d.tmu.Lock()
+	d.committedAt[txid] = lsn
+	if lsn > d.maxCommit {
+		d.maxCommit = lsn
 	}
-	return nil
+	delete(d.inflight, txid)
+	d.tmu.Unlock()
+	d.stmu.Lock()
+	d.commits++
+	d.stmu.Unlock()
+}
+
+// Abort drops the registration: the abort trail's compensation images
+// were applied like any others, so the undone state becomes the
+// visible one.
+func (s replicaSink) Abort(txid uint64) {
+	s.d.tmu.Lock()
+	delete(s.d.inflight, txid)
+	s.d.tmu.Unlock()
 }
 
 // ApplyBatch appends one batch of raw records received from the
@@ -464,7 +441,7 @@ func (d *DB) ApplyBatch(batch []byte) (uint64, error) {
 		return 0, err
 	}
 	for _, r := range recs {
-		if err := d.applyRecord(r); err != nil {
+		if err := d.applier.Step(r); err != nil {
 			// The local log holds the batch; restart replay converges.
 			// Until then the in-memory state is suspect — stop serving.
 			d.markUnusable(fmt.Errorf("db: replica apply at lsn %d: %w", r.LSN, err))
@@ -581,12 +558,6 @@ func (d *DB) AppliedLSN() uint64 {
 	d.stmu.Lock()
 	defer d.stmu.Unlock()
 	return d.appliedLSN
-}
-
-// ReplicaReplay reports the restart replay the open ran (zero value on
-// a primary or a fresh replica).
-func (d *DB) ReplicaReplay() wal.ReplayStats {
-	return d.replayStats
 }
 
 // WAL exposes the underlying log for the replication layer (stream

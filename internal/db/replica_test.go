@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -333,9 +334,161 @@ func TestReplicaCheckpointBoundsRestart(t *testing.T) {
 	}
 	// The open transaction (no terminator in the log) must be live
 	// again after restart: its images were applied but stay invisible.
-	if stats := repl.ReplicaReplay(); len(stats.Live) != 1 {
-		t.Fatalf("replay found %d live transactions, want 1", len(stats.Live))
+	if live := repl.applier.Live(); len(live) != 1 {
+		t.Fatalf("replay found %d live transactions, want 1", len(live))
 	}
+	repl.tmu.RLock()
+	registered := len(repl.inflight)
+	repl.tmu.RUnlock()
+	if registered != 1 {
+		t.Fatalf("%d transactions registered in flight after restart, want 1", registered)
+	}
+}
+
+// TestReplicaRestartAtEveryRecord stops a replica at every record
+// boundary of a stream, restarts it, and applies the rest. The stream
+// holds CREATE and DROP TABLE, a rollback, and a transaction that stays
+// open across most boundaries while a concurrent one aborts inside it
+// and it creates a table of its own, so restarts land with transactions
+// live and a catalog image pending. Each restarted replica must end
+// with the rows and data-file bytes of an uninterrupted replica and of
+// the primary.
+func TestReplicaRestartAtEveryRecord(t *testing.T) {
+	primDir := t.TempDir()
+	prim, err := Open(primDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := primaryWorkload(t, prim)
+	tab, _ := prim.Table("t")
+	aborted, err := prim.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.InsertTx(aborted, Row{Int(200), Str("aborted")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := aborted.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	late, err := prim.CreateTable("late", Schema{{Name: "x", Type: TInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := late.Insert(Row{Int(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := open.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	raws := captureRaws(t, prim)
+	want := visibleRows(t, prim)
+	if err := prim.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	files := []string{"t.heap", "t_id_idx.idx", "late.heap"}
+	readFiles := func(dir string) [][]byte {
+		t.Helper()
+		out := make([][]byte, len(files))
+		for i, name := range files {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = b
+		}
+		return out
+	}
+	// finish applies the rest of the stream, checks the replica, closes
+	// it and returns its data files.
+	finish := func(label string, d *DB) [][]byte {
+		t.Helper()
+		if err := applyRaws(d, raws, 3); err != nil {
+			t.Fatalf("%s: apply: %v", label, err)
+		}
+		if got := visibleRows(t, d); !equalStrings(got, want) {
+			t.Fatalf("%s: rows %v, want %v", label, got, want)
+		}
+		if lt, ok := d.Table("late"); !ok || lt.Count() != 1 {
+			t.Fatalf("%s: table late missing or wrong size", label)
+		}
+		for _, is := range d.Check() {
+			t.Errorf("%s: integrity: %s", label, is)
+		}
+		for _, is := range d.CheckWAL() {
+			t.Errorf("%s: wal: %s", label, is)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
+		}
+		return readFiles(d.dir)
+	}
+
+	// step is the uninterrupted replica, fed in lockstep: after each
+	// restart the restarted replica must hold the same live set and
+	// show the same rows before it applies the rest.
+	step, err := OpenOpts(t.TempDir(), Options{Replica: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFiles := readFiles(primDir)
+	for k := 1; k < len(raws); k++ {
+		label := fmt.Sprintf("restart after %d of %d records", k, len(raws))
+		if err := applyRaws(step, raws[:k], 4); err != nil {
+			t.Fatalf("%s: uninterrupted apply: %v", label, err)
+		}
+		dir := t.TempDir()
+		d, err := OpenOpts(dir, Options{Replica: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := applyRaws(d, raws[:k], 4); err != nil {
+			t.Fatalf("%s: apply: %v", label, err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
+		}
+		if d, err = OpenOpts(dir, Options{Replica: true}); err != nil {
+			t.Fatalf("%s: reopen: %v", label, err)
+		}
+		if got, want := d.applier.Live(), step.applier.Live(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: live %v, uninterrupted replica %v", label, got, want)
+		}
+		if got, want := replicaView(t, d), replicaView(t, step); !equalStrings(got, want) {
+			t.Fatalf("%s: rows %v, uninterrupted replica %v", label, got, want)
+		}
+		for i, b := range finish(label, d) {
+			if !bytes.Equal(b, wantFiles[i]) {
+				t.Fatalf("%s: %s differs from the primary's", label, files[i])
+			}
+		}
+	}
+	for i, b := range finish("uninterrupted", step) {
+		if !bytes.Equal(b, wantFiles[i]) {
+			t.Fatalf("uninterrupted replica: %s differs from the primary's", files[i])
+		}
+	}
+}
+
+// replicaView renders every table's snapshot-visible rows.
+func replicaView(t *testing.T, d *DB) []string {
+	t.Helper()
+	snap := d.AcquireSnap()
+	defer d.ReleaseSnap(snap)
+	var out []string
+	for _, name := range d.Tables() {
+		tab, _ := d.Table(name)
+		err := tab.ScanSnap(snap, func(_ store.RID, row Row) error {
+			out = append(out, fmt.Sprintf("%s:%v", name, row))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestReplicaCrashTorture kills the replica apply path at every write
@@ -470,4 +623,3 @@ func TestReplicaCrashTorture(t *testing.T) {
 		})
 	}
 }
-

@@ -297,17 +297,8 @@ func (tx *Tx) CommitNoWait() (uint64, error) {
 		// error), so the transaction must not look committed — but its
 		// writes are live in the page caches and would be served to
 		// later snapshots once this ID fell out of the in-flight
-		// registry. Undo them by logged compensation while the
-		// transaction is still registered, then abort.
-		err = fmt.Errorf("db: commit: %w", err)
-		if cErr := tx.compensate(); cErr != nil {
-			d.wal.Forget(tx.id)
-			err = errors.Join(err, d.escalate(tx, cErr))
-		} else if aErr := d.abortTx(tx); aErr != nil {
-			err = errors.Join(err, d.escalate(tx, aErr))
-		} else {
-			d.deregister(tx)
-		}
+		// registry. Undo them while the transaction is still registered.
+		err = errors.Join(fmt.Errorf("db: commit: %w", err), tx.undo())
 		if tx.ambient {
 			d.txmu.Unlock()
 		}
@@ -360,14 +351,23 @@ func (tx *Tx) Rollback() error {
 	if tx.ambient {
 		defer d.txmu.Unlock()
 	}
+	return tx.undo()
+}
+
+// undo reverses a finished transaction that did not commit — the one
+// undo decision Rollback and a failed commit share. Ordinary row writes
+// are compensated and the trail terminated with an abort record. A
+// catalog change, or a failed mutation's unlogged dirty pages, cannot
+// be compensated: the trail is forgotten without a terminator — redo
+// discards terminator-less trails wholesale and the loser purge removes
+// whatever they left embedded in finished page images — and the caches
+// are rebuilt from the log in place.
+func (tx *Tx) undo() error {
+	d := tx.d
 	d.stmu.Lock()
 	tainted, ddl := tx.tainted, tx.ddl
 	d.stmu.Unlock()
 	if tainted || ddl {
-		// No abort record: compensation never ran, so the trail must not
-		// be replayed as finished. Forget it instead — redo discards
-		// terminator-less trails wholesale and the loser purge removes
-		// whatever they left embedded in finished page images.
 		d.wal.Forget(tx.id)
 		return d.escalate(tx, nil)
 	}
@@ -499,11 +499,7 @@ func (d *DB) recoverInPlace() error {
 	}
 	d.tables = make(map[string]*Table)
 	d.indexes = make(map[string]*Index)
-	stats, err := wal.Redo(d.wal, d.dir, d.fs)
-	if err != nil {
-		return err
-	}
-	if _, err := d.purgeLosers(stats.Losers); err != nil {
+	if _, err := d.recoverFiles(); err != nil {
 		return err
 	}
 	// Redo published the last committed catalog image (if any), so the
@@ -512,6 +508,36 @@ func (d *DB) recoverInPlace() error {
 	d.catDirty = false
 	d.stmu.Unlock()
 	return d.openObjects()
+}
+
+// recoverFiles is crash recovery over the data files, run with no
+// storage object open: redo re-applies the finished transactions' page
+// images and publishes the last committed catalog, then rows the losers
+// left embedded in finished images are purged by version header. Both
+// steps are idempotent, and the log is left in place, so a crash
+// mid-way reruns them from the same records.
+func (d *DB) recoverFiles() (RecoveryStats, error) {
+	started := time.Now()
+	stats, err := wal.Redo(d.wal, d.dir, d.fs)
+	if err != nil {
+		return RecoveryStats{}, err
+	}
+	purged, err := d.purgeLosers(stats.Losers)
+	if err != nil {
+		return RecoveryStats{}, err
+	}
+	return RecoveryStats{
+		Ran:      true,
+		Duration: time.Since(started),
+		Purged:   purged,
+		Redo: RedoSummary{
+			Floor:    stats.Floor,
+			Scanned:  stats.Scanned,
+			Skipped:  stats.Skipped,
+			Replayed: stats.Replayed,
+			Applied:  stats.Applied,
+		},
+	}, nil
 }
 
 // usable returns the sticky error that makes the database unusable, if

@@ -215,9 +215,9 @@ func (fs *oneShotFailFS) OpenFile(path string, flag int, perm os.FileMode) (stor
 	return &oneShotFailFile{fs: fs, File: f}, nil
 }
 
-func (fs *oneShotFailFS) Rename(o, n string) error        { return store.OSFS{}.Rename(o, n) }
-func (fs *oneShotFailFS) Remove(p string) error           { return store.OSFS{}.Remove(p) }
-func (fs *oneShotFailFS) RemoveAll(p string) error        { return store.OSFS{}.RemoveAll(p) }
+func (fs *oneShotFailFS) Rename(o, n string) error           { return store.OSFS{}.Rename(o, n) }
+func (fs *oneShotFailFS) Remove(p string) error              { return store.OSFS{}.Remove(p) }
+func (fs *oneShotFailFS) RemoveAll(p string) error           { return store.OSFS{}.RemoveAll(p) }
 func (fs *oneShotFailFS) Stat(p string) (os.FileInfo, error) { return store.OSFS{}.Stat(p) }
 func (fs *oneShotFailFS) MkdirAll(p string, perm os.FileMode) error {
 	return store.OSFS{}.MkdirAll(p, perm)
@@ -306,6 +306,68 @@ func TestCommitAppendFailureRollsBack(t *testing.T) {
 	counts := dumpIDs(t, "reopen", dir)
 	if counts[1] != 1 || counts[2] != 0 || counts[3] != 1 {
 		t.Fatalf("reopen: counts = %v, want ids 1 and 3 only", counts)
+	}
+}
+
+// TestCommitAppendFailureDropsDDL is TestCommitAppendFailureRollsBack
+// for a catalog change, which compensation cannot undo: a CREATE TABLE
+// whose commit record fails to append must be gone from the live
+// handle, after a clean close and reopen, and after crash recovery of a
+// copy of the directory taken before the close.
+func TestCommitAppendFailureDropsDDL(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	ffs := &oneShotFailFS{}
+	d, err := OpenOpts(dir, Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := d.CreateTable("t", Schema{{Name: "id", Type: TInt}, {Name: "name", Type: TString}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Insert(crashRow(1)); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CreateTable("ghost", Schema{{Name: "x", Type: TInt}}); err != nil {
+		t.Fatal(err)
+	}
+	// The next WriteAt is the commit record's append.
+	ffs.failNext = true
+	if err := tx.Commit(); !errors.Is(err, store.ErrInjected) {
+		t.Fatalf("commit after injected append failure: %v", err)
+	}
+	if got := d.Tables(); len(got) != 1 || got[0] != "t" {
+		t.Fatalf("live handle after failed commit: tables %v, want [t]", got)
+	}
+	if _, err := d.CreateTable("after", Schema{{Name: "x", Type: TInt}}); err != nil {
+		t.Fatalf("DDL after the failed commit: %v", err)
+	}
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	copyDir(t, dir, crashed)
+	if err := d.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	for _, c := range []struct{ label, dir string }{{"reopen", dir}, {"crash recovery", crashed}} {
+		counts := dumpIDs(t, c.label, c.dir)
+		if len(counts) != 1 || counts[1] != 1 {
+			t.Fatalf("%s: counts = %v, want id 1 only", c.label, counts)
+		}
+		r, err := Open(c.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := r.Tables()
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 || got[0] != "after" || got[1] != "t" {
+			t.Fatalf("%s: tables %v, want [after t]", c.label, got)
+		}
 	}
 }
 

@@ -9,109 +9,249 @@ import (
 	"lexequal/internal/store"
 )
 
-// Applier applies page and catalog images from log records to a
-// database directory with raw file I/O — the shared engine under
-// crash recovery (Redo), replica restart replay (Replay), and any
-// future offline log tooling. Raw I/O rather than pagers because the
-// target files may be torn, missing, or non-page-aligned; the images
-// in the log are exactly what repairs them.
+// Sink receives what an Applier decides to apply: page images in LSN
+// order, and each committed transaction's catalog image at its commit
+// record, just before Commit.
+type Sink interface {
+	// Page installs one page image and reports whether it physically
+	// wrote it (false: the target already held this image or a newer
+	// one).
+	Page(r Record) (bool, error)
+	// Catalog publishes a committed transaction's last catalog image.
+	Catalog(r Record) error
+	// Begin registers a transaction at its first record.
+	Begin(txid uint64)
+	// Commit and Abort retire a transaction at its terminator.
+	Commit(txid, lsn uint64)
+	Abort(txid uint64)
+}
+
+// ApplyStats counts an Applier's work.
+type ApplyStats struct {
+	// Scanned counts every record stepped.
+	Scanned int
+	// Skipped counts page/catalog records of applying transactions at or
+	// below the floor — work a checkpoint already made durable.
+	Skipped int
+	// Replayed counts page/catalog records of applying transactions
+	// above the floor.
+	Replayed int
+	// Applied counts page images the sink physically wrote (Replayed
+	// minus catalog records and pages that were already current).
+	Applied int
+}
+
+// Applier is the one interpreter of log records. Primary crash
+// recovery and in-place rollback (Redo), replica restart and the
+// replica's live apply all step records through it, in LSN order. It
+// owns the transaction bookkeeping — the live set with each
+// transaction's first LSN, and each one's pending catalog image — and
+// hands page images and committed catalog images to a Sink.
 //
-// Page application is idempotent: an image is skipped when the on-disk
-// page already verifies with an LSN at or above the record's, so a
-// crash mid-apply is cured by applying again. The catalog image is
-// buffered and published last, atomically, in Finish — data pages must
-// be on disk before a catalog that names them becomes visible.
+// Policy is one value: the set of transactions whose images apply. A
+// replica applies every transaction's pages as they arrive (MVCC
+// version headers hide the uncommitted ones); a primary applies only
+// finished trails, discarding losers, which under no-steal is all the
+// undo there is. An abort trail is self-contained — its forward images
+// followed by the compensation images that undid them — so replaying
+// it in LSN order lands on the undone state. Catalog images are
+// different: compensation cannot undo a catalog change, so whatever the
+// policy, a catalog image publishes only at its transaction's commit
+// record and is dropped at the abort record.
+//
+// Records at or below the floor are counted, not applied: a checkpoint
+// made their effects durable before declaring it.
 //
 // Not safe for concurrent use.
 type Applier struct {
+	sink  Sink
+	floor uint64
+	only  map[uint64]bool // nil: every transaction
+	live  map[uint64]uint64
+	cats  map[uint64]Record
+	Stats ApplyStats
+}
+
+// NewApplier returns an applier feeding sink that skips records at or
+// below floor and applies the images of the transactions in only (nil:
+// of every transaction).
+func NewApplier(sink Sink, floor uint64, only map[uint64]bool) *Applier {
+	return &Applier{
+		sink:  sink,
+		floor: floor,
+		only:  only,
+		live:  make(map[uint64]uint64),
+		cats:  make(map[uint64]Record),
+	}
+}
+
+// SetSink redirects the applier's output. The live set and the pending
+// catalog images carry over: a replica replays its local log into the
+// raw files at open, then continues the same machine into its pagers.
+func (a *Applier) SetSink(s Sink) { a.sink = s }
+
+// Live returns the transactions stepped so far with records but no
+// terminator, each mapped to the LSN of its first record.
+func (a *Applier) Live() map[uint64]uint64 {
+	out := make(map[uint64]uint64, len(a.live))
+	for id, lsn := range a.live {
+		out[id] = lsn
+	}
+	return out
+}
+
+// Step interprets one record. Its Payload is not retained.
+func (a *Applier) Step(r Record) error {
+	a.Stats.Scanned++
+	switch r.Type {
+	case RecCheckpointBegin, RecCheckpointEnd:
+		// A primary's checkpoint records keep a replica's LSN run
+		// contiguous; the floor they carry is read by Redo's first pass.
+		return nil
+	case RecCommit:
+		delete(a.live, r.TxID)
+		if cat, ok := a.cats[r.TxID]; ok {
+			delete(a.cats, r.TxID)
+			if err := a.sink.Catalog(cat); err != nil {
+				return err
+			}
+		}
+		a.sink.Commit(r.TxID, r.LSN)
+		return nil
+	case RecAbort:
+		delete(a.live, r.TxID)
+		delete(a.cats, r.TxID)
+		a.sink.Abort(r.TxID)
+		return nil
+	}
+	if _, ok := a.live[r.TxID]; !ok && r.TxID != 0 {
+		a.live[r.TxID] = r.LSN
+		a.sink.Begin(r.TxID)
+	}
+	if r.Type != RecPage && r.Type != RecCatalog {
+		return nil
+	}
+	if a.only != nil && !a.only[r.TxID] {
+		return nil
+	}
+	if r.LSN <= a.floor {
+		a.Stats.Skipped++
+		return nil
+	}
+	a.Stats.Replayed++
+	if r.Type == RecCatalog {
+		r.Payload = append([]byte(nil), r.Payload...)
+		a.cats[r.TxID] = r
+		return nil
+	}
+	wrote, err := a.sink.Page(r)
+	if wrote {
+		a.Stats.Applied++
+	}
+	return err
+}
+
+// FileSink is the Sink that applies images to a database directory with
+// raw file I/O, used while a database opens. Raw I/O rather than pagers
+// because the target files may be torn, missing, or non-page-aligned;
+// the images in the log are exactly what repairs them.
+//
+// Page application is idempotent: an image is skipped when the on-disk
+// page already verifies with an LSN at or above the record's, so a
+// crash mid-apply is cured by applying again. The newest committed
+// catalog image is held and published last, atomically, in Finish —
+// data pages must be on disk before a catalog that names them becomes
+// visible.
+//
+// Not safe for concurrent use.
+type FileSink struct {
 	fs    store.VFS
 	dbDir string
 	files map[string]store.File
 
 	catName  string
 	catImage []byte
-
-	// Applied counts page images physically rewritten (records minus
-	// pages whose on-disk image was already current).
-	Applied int
 }
 
-// NewApplier returns an applier over dbDir. fs nil means the OS
+// NewFileSink returns a sink over dbDir. fs nil means the OS
 // filesystem.
-func NewApplier(dbDir string, fs store.VFS) *Applier {
+func NewFileSink(dbDir string, fs store.VFS) *FileSink {
 	if fs == nil {
 		fs = store.OSFS{}
 	}
-	return &Applier{fs: fs, dbDir: dbDir, files: make(map[string]store.File)}
+	return &FileSink{fs: fs, dbDir: dbDir, files: make(map[string]store.File)}
 }
 
-func (a *Applier) openData(name string) (store.File, error) {
-	if f, ok := a.files[name]; ok {
+func (s *FileSink) openData(name string) (store.File, error) {
+	if f, ok := s.files[name]; ok {
 		return f, nil
 	}
-	f, err := a.fs.OpenFile(filepath.Join(a.dbDir, name), os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := s.fs.OpenFile(filepath.Join(s.dbDir, name), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: apply open %s: %w", name, err)
 	}
-	a.files[name] = f
+	s.files[name] = f
 	return f, nil
 }
 
-// Apply applies one RecPage or RecCatalog record. Other record types
-// are ignored (returning false) so callers can feed an unfiltered
-// stream. Returns whether a page image was physically written.
-func (a *Applier) Apply(r Record) (bool, error) {
-	switch r.Type {
-	case RecPage:
-		name, err := safeName(r.File)
-		if err != nil {
-			return false, err
-		}
-		f, err := a.openData(name)
-		if err != nil {
-			return false, err
-		}
-		off := int64(r.Page) * store.PageSize
-		cur := make([]byte, store.PageSize)
-		if n, rerr := f.ReadAt(cur, off); n == store.PageSize && rerr == nil {
-			if lsn, ok := store.PageImageLSN(r.Page, cur); ok && lsn >= r.LSN {
-				return false, nil // already at or past this image
-			}
-		}
-		img := make([]byte, store.PageSize)
-		copy(img, r.Payload)
-		store.StampPageImage(r.Page, img, r.LSN)
-		if _, err := f.WriteAt(img, off); err != nil {
-			return false, fmt.Errorf("wal: apply write %s page %d: %w", name, r.Page, err)
-		}
-		a.Applied++
-		return true, nil
-	case RecCatalog:
-		name, err := safeName(r.File)
-		if err != nil {
-			return false, err
-		}
-		a.catName = name
-		a.catImage = append(a.catImage[:0], r.Payload...)
-		return false, nil
+// Page writes one page image unless the on-disk page is already at or
+// past it.
+func (s *FileSink) Page(r Record) (bool, error) {
+	name, err := safeName(r.File)
+	if err != nil {
+		return false, err
 	}
-	return false, nil
+	f, err := s.openData(name)
+	if err != nil {
+		return false, err
+	}
+	off := int64(r.Page) * store.PageSize
+	cur := make([]byte, store.PageSize)
+	if n, rerr := f.ReadAt(cur, off); n == store.PageSize && rerr == nil {
+		if lsn, ok := store.PageImageLSN(r.Page, cur); ok && lsn >= r.LSN {
+			return false, nil
+		}
+	}
+	img := make([]byte, store.PageSize)
+	copy(img, r.Payload)
+	store.StampPageImage(r.Page, img, r.LSN)
+	if _, err := f.WriteAt(img, off); err != nil {
+		return false, fmt.Errorf("wal: apply write %s page %d: %w", name, r.Page, err)
+	}
+	return true, nil
 }
 
+// Catalog holds the image for Finish to publish.
+func (s *FileSink) Catalog(r Record) error {
+	name, err := safeName(r.File)
+	if err != nil {
+		return err
+	}
+	s.catName = name
+	s.catImage = append(s.catImage[:0], r.Payload...)
+	return nil
+}
+
+// Begin, Commit and Abort do nothing: the files carry no transaction
+// registry.
+func (s *FileSink) Begin(uint64)          {}
+func (s *FileSink) Commit(uint64, uint64) {}
+func (s *FileSink) Abort(uint64)          {}
+
 // Finish fixes file tails, makes every applied image durable, and
-// publishes the buffered catalog image atomically. Non-page-aligned
-// files are rounded down: the partial tail page is crash debris — any
+// publishes the held catalog image atomically. Non-page-aligned files
+// are rounded down: the partial tail page is crash debris — any
 // committed content for it was just rewritten at full size, which
-// realigns the file first. Closes all handles; the applier must not be
+// realigns the file first. Closes all handles; the sink must not be
 // used afterwards.
-func (a *Applier) Finish() error {
-	names := make([]string, 0, len(a.files))
-	for name := range a.files {
+func (s *FileSink) Finish() error {
+	names := make([]string, 0, len(s.files))
+	for name := range s.files {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		f := a.files[name]
+		f := s.files[name]
 		st, err := f.Stat()
 		if err != nil {
 			return err
@@ -127,15 +267,15 @@ func (a *Applier) Finish() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		delete(a.files, name)
+		delete(s.files, name)
 	}
-	if a.catName != "" {
-		if err := writeFileAtomic(a.fs, a.dbDir, a.catName, a.catImage); err != nil {
+	if s.catName != "" {
+		if err := writeFileAtomic(s.fs, s.dbDir, s.catName, s.catImage); err != nil {
 			return err
 		}
-		a.catName, a.catImage = "", nil
+		s.catName, s.catImage = "", nil
 	}
-	if err := store.SyncDir(a.fs, a.dbDir); err != nil {
+	if err := store.SyncDir(s.fs, s.dbDir); err != nil {
 		return fmt.Errorf("wal: apply sync dir: %w", err)
 	}
 	return nil
@@ -143,118 +283,13 @@ func (a *Applier) Finish() error {
 
 // Close releases file handles without syncing — the error-path
 // counterpart of Finish. Safe after Finish (a no-op then).
-func (a *Applier) Close() error {
+func (s *FileSink) Close() error {
 	var first error
-	for name, f := range a.files {
+	for name, f := range s.files {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
-		delete(a.files, name)
+		delete(s.files, name)
 	}
 	return first
-}
-
-// ReplayStats describes one replica restart replay.
-type ReplayStats struct {
-	// Scanned counts every record the replay visited above the floor.
-	Scanned int
-	// Applied counts page images physically rewritten.
-	Applied int
-	// Live maps each transaction with records but no terminator in the
-	// local log to the LSN of its first record — in flight on the
-	// primary at the moment of the replica's crash. Their page images
-	// WERE applied (the live apply loop applies images as they arrive;
-	// MVCC version headers keep their rows invisible), so they must be
-	// re-registered as in-flight both in the log (SeedLiveTxs) and in
-	// the database's MVCC registry before serving reads.
-	Live map[uint64]uint64
-	// MaxCommit is the LSN of the newest commit record seen (0 if
-	// none).
-	MaxCommit uint64
-	// LiveCatalogs maps each live transaction to its buffered catalog
-	// image, if it logged one. The live apply loop defers catalog
-	// publication to the commit record; restart must re-buffer these so
-	// the commit still to arrive from the stream publishes them — and
-	// must NOT publish them itself (the transaction may yet abort).
-	LiveCatalogs map[uint64][]byte
-}
-
-// Replay is replica restart recovery: it re-applies every page and
-// catalog record above floor from the replica's local log, regardless
-// of transaction state. Unlike Redo there is no winner/loser pass —
-// a replica never undoes anything. Its live apply loop writes every
-// incoming image into the pager as it arrives, relying on MVCC version
-// headers for visibility, so restart must reconstruct exactly that
-// state: all images applied, in-flight transactions re-registered
-// (returned in Live).
-//
-// floor is the replica's persisted checkpoint floor: images at or
-// below it were flushed and fsynced by a replica checkpoint. The first
-// record of every live transaction is above the floor (DeclareFloor
-// clamps below live begins), so Live's first-seen LSNs are true begin
-// LSNs.
-//
-// fs nil means the OS filesystem.
-func Replay(l *Log, dbDir string, fs store.VFS, floor uint64) (ReplayStats, error) {
-	stats := ReplayStats{Live: make(map[uint64]uint64), LiveCatalogs: make(map[uint64][]byte)}
-	a := NewApplier(dbDir, fs)
-	defer a.Close()
-	// Catalog images follow the live apply loop's commit rule: buffered
-	// per transaction, handed to the applier only when the commit record
-	// is in the log, dropped on abort, and returned in LiveCatalogs when
-	// the terminator has not arrived yet.
-	pendingCat := make(map[uint64]Record)
-	err := l.Records(func(r Record) error {
-		if r.LSN <= floor {
-			return nil
-		}
-		stats.Scanned++
-		switch r.Type {
-		case RecCommit:
-			delete(stats.Live, r.TxID)
-			if rec, ok := pendingCat[r.TxID]; ok {
-				delete(pendingCat, r.TxID)
-				if _, err := a.Apply(rec); err != nil {
-					return err
-				}
-			}
-			if r.LSN > stats.MaxCommit {
-				stats.MaxCommit = r.LSN
-			}
-			return nil
-		case RecAbort:
-			delete(stats.Live, r.TxID)
-			delete(pendingCat, r.TxID)
-			return nil
-		case RecCheckpointBegin, RecCheckpointEnd:
-			// The primary streams its checkpoint records verbatim (they
-			// keep the LSN run contiguous); they carry nothing a replica
-			// applies.
-			return nil
-		}
-		if r.TxID != 0 {
-			if _, ok := stats.Live[r.TxID]; !ok {
-				stats.Live[r.TxID] = r.LSN
-			}
-		}
-		if r.Type == RecCatalog {
-			rc := r
-			rc.Payload = append([]byte(nil), r.Payload...) // fn must not retain
-			pendingCat[r.TxID] = rc
-			return nil
-		}
-		_, err := a.Apply(r)
-		return err
-	})
-	if err != nil {
-		return stats, err
-	}
-	if err := a.Finish(); err != nil {
-		return stats, err
-	}
-	for txid, rec := range pendingCat {
-		stats.LiveCatalogs[txid] = rec.Payload
-	}
-	stats.Applied = a.Applied
-	return stats, nil
 }

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"lexequal/internal/store"
@@ -57,9 +58,12 @@ func buildSeedSegment() []byte {
 }
 
 // FuzzWALReplay feeds arbitrary bytes to the engine as segment 1 of a
-// write-ahead log and runs the full open + check + redo path over it.
-// Whatever the bytes are — truncated, bit-flipped, adversarial — the
-// engine must neither panic nor write outside the database directory.
+// write-ahead log, opens and checks it, and steps it through the
+// Applier under both policies: the primary's (Redo) and the replica's
+// (every transaction). Whatever the bytes are — truncated,
+// bit-flipped, adversarial — the engine must neither panic nor write
+// outside the database directory, must leave page-aligned files, and
+// must be idempotent: a second application changes no byte.
 func FuzzWALReplay(f *testing.F) {
 	seed := buildSeedSegment()
 	f.Add(seed)
@@ -90,26 +94,60 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		defer l.Close()
 		Check(l, true)
-		if _, err := Redo(l, dir, nil); err != nil {
-			return
+		policies := []struct {
+			name  string
+			apply func(dbDir string) error
+		}{
+			{"primary", func(dbDir string) error {
+				_, err := Redo(l, dbDir, nil)
+				return err
+			}},
+			{"replica", func(dbDir string) error {
+				files := NewFileSink(dbDir, nil)
+				defer files.Close()
+				if err := l.Records(NewApplier(files, 0, nil).Step); err != nil {
+					return err
+				}
+				return files.Finish()
+			}},
 		}
-		// Whatever was replayed must have landed inside dir and left
-		// page-aligned, verifiable pages.
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			if e.IsDir() || e.Name() == "catalog.json" {
-				continue
-			}
-			st, err := os.Stat(filepath.Join(dir, e.Name()))
-			if err != nil {
+		for _, p := range policies {
+			dbDir := filepath.Join(dir, p.name)
+			if err := os.Mkdir(dbDir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if st.Size()%store.PageSize != 0 {
-				t.Fatalf("%s: size %d not page aligned after redo", e.Name(), st.Size())
+			if err := p.apply(dbDir); err != nil {
+				continue
+			}
+			first := readDataFiles(t, dbDir)
+			if err := p.apply(dbDir); err != nil {
+				t.Fatalf("%s: second application failed: %v", p.name, err)
+			}
+			if second := readDataFiles(t, dbDir); !reflect.DeepEqual(first, second) {
+				t.Fatalf("%s: second application changed the files", p.name)
 			}
 		}
 	})
+}
+
+// readDataFiles returns every file in dir by name, failing on a data
+// file that is not page aligned.
+func readDataFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() != "catalog.json" && len(b)%store.PageSize != 0 {
+			t.Fatalf("%s: size %d not page aligned", e.Name(), len(b))
+		}
+		out[e.Name()] = b
+	}
+	return out
 }

@@ -19,16 +19,10 @@ type RedoStats struct {
 	Floor uint64
 	// CheckpointLSN is the LSN of that checkpoint's end record.
 	CheckpointLSN uint64
-	// Scanned counts every record the recovery scan visited.
-	Scanned int
-	// Skipped counts finished page/catalog records at or below the
-	// floor — work the checkpoint already made durable.
-	Skipped int
-	// Replayed counts finished page/catalog records above the floor.
-	Replayed int
-	// Applied counts page images physically rewritten (Replayed minus
-	// pages whose on-disk image was already current).
-	Applied int
+	// ApplyStats counts the records scanned, and the finished
+	// transactions' page/catalog records skipped at or below the floor,
+	// replayed above it, and physically rewritten.
+	ApplyStats
 	// Losers holds the IDs of transactions the log shows records for
 	// but no terminator (neither commit nor abort) — in flight at the
 	// crash, or abandoned by an escalated in-process rollback that
@@ -39,48 +33,31 @@ type RedoStats struct {
 	Losers map[uint64]bool
 }
 
-// Redo replays the log over the database directory: every page image
-// belonging to a finished transaction — one the log terminates with a
-// commit OR an abort record — is re-applied (newest wins). An abort
-// trail is replayed because it is self-contained: the forward images
-// followed by the compensation images that undid them, so replaying
-// it in LSN order lands on the undone state; the abort record is only
-// appended once compensation has been fully logged, which is what
-// makes the trail safe to flush under no-steal and safe to replay
-// here. Records of loser transactions — begun but never terminated —
-// are discarded, which under the no-steal buffer policy is all the
-// undo there is.
+// Redo replays the log over the database directory through the shared
+// Applier, with the primary's policy: every page image belonging to a
+// finished transaction — one the log terminates with a commit OR an
+// abort record — is re-applied (newest wins), and the last committed
+// catalog image is published. Loser transactions — begun but never
+// terminated — are discarded.
 //
 // Replay starts at the last complete checkpoint's redo floor: records
 // at or below it were durably flushed to the data files before the
 // checkpoint-end record was written, so they are skipped (and their
 // segments may already have been garbage-collected).
 //
-// Redo uses raw file I/O, not pagers: crashed data files may be torn
-// or non-page-aligned and would fail a pager's open-time validation;
-// the images in the log are exactly what repairs them. Application is
-// idempotent — each image is skipped when the on-disk page already
-// verifies with an LSN at or above the record's — so a crash during
-// recovery is cured by recovering again.
+// Redo writes through a FileSink, so a crash during recovery is cured
+// by recovering again.
 //
 // fs nil means the OS filesystem.
 func Redo(l *Log, dbDir string, fs store.VFS) (RedoStats, error) {
 	var stats RedoStats
-	if fs == nil {
-		fs = store.OSFS{}
-	}
 	// Pass 1: which transactions finished with a terminator (commit or
 	// abort), and where the last complete checkpoint put the redo
 	// floor. Any checkpoint-end the scan reaches is complete by
 	// construction (it was appended and synced before anything relied
 	// on it); the newest one wins.
 	finished := make(map[uint64]bool)
-	seen := make(map[uint64]bool)
 	if err := l.Records(func(r Record) error {
-		stats.Scanned++
-		if r.TxID != 0 {
-			seen[r.TxID] = true
-		}
 		switch r.Type {
 		case RecCommit, RecAbort:
 			finished[r.TxID] = true
@@ -92,47 +69,25 @@ func Redo(l *Log, dbDir string, fs store.VFS) (RedoStats, error) {
 	}); err != nil {
 		return stats, err
 	}
-	// Loser identification needs no begin record: every record a
-	// transaction writes carries its ID, and the checkpoint floor is
-	// pinned below the oldest live begin, so no loser's trail is ever
-	// wholly garbage-collected out from under this scan.
+	// Pass 2: the shared loop. Loser identification needs no begin
+	// record: every record a transaction writes carries its ID, and the
+	// checkpoint floor is pinned below the oldest live begin, so no
+	// loser's trail is ever wholly garbage-collected out from under
+	// this scan.
+	files := NewFileSink(dbDir, fs)
+	defer files.Close()
+	a := NewApplier(files, stats.Floor, finished)
+	if err := l.Records(a.Step); err != nil {
+		return stats, err
+	}
+	if err := files.Finish(); err != nil {
+		return stats, err
+	}
+	stats.ApplyStats = a.Stats
 	stats.Losers = make(map[uint64]bool)
-	for id := range seen {
-		if !finished[id] {
-			stats.Losers[id] = true
-		}
+	for id := range a.Live() {
+		stats.Losers[id] = true
 	}
-	// Pass 2: apply page images of finished transactions in LSN order
-	// through the shared Applier (which remembers the last finished
-	// catalog image and publishes it atomically in Finish).
-	a := NewApplier(dbDir, fs)
-	defer a.Close()
-	err := l.Records(func(r Record) error {
-		if !finished[r.TxID] {
-			return nil
-		}
-		if r.Type != RecPage && r.Type != RecCatalog {
-			return nil
-		}
-		if r.LSN <= stats.Floor {
-			// The checkpoint flushed and fsynced this image's effects
-			// before declaring the floor; replaying it would be
-			// harmless but is exactly the work checkpoints exist to
-			// bound.
-			stats.Skipped++
-			return nil
-		}
-		stats.Replayed++
-		_, err := a.Apply(r)
-		return err
-	})
-	if err != nil {
-		return stats, err
-	}
-	if err := a.Finish(); err != nil {
-		return stats, err
-	}
-	stats.Applied = a.Applied
 	return stats, nil
 }
 

@@ -22,7 +22,8 @@ wait_addr() {
     log=$1; spid=$2; addr=
     i=0
     while [ $i -lt 100 ]; do
-        addr=$(sed -n 's/^listening on //p' "$log")
+        # The background server opens its log asynchronously.
+        addr=$(sed -n 's/^listening on //p' "$log" 2>/dev/null || true)
         [ -n "$addr" ] && { echo "$addr"; return 0; }
         kill -0 "$spid" 2>/dev/null || { echo "repl-smoke: server died: $(cat "$log")" >&2; return 1; }
         sleep 0.1
