@@ -9,8 +9,8 @@ import (
 
 // ErrPath is the path-sensitive resource-balance analyzer. For every
 // acquisition of an engine resource — a page pinned by Pager.Get or
-// Pager.Allocate, a mutex lock, a transaction opened by DB.Begin or
-// DB.BeginTx, an MVCC snapshot from DB.AcquireSnap (a leaked snapshot
+// Pager.Allocate, a mutex lock, a transaction opened by DB.BeginTx,
+// an MVCC snapshot from DB.AcquireSnap (a leaked snapshot
 // pins the version-GC horizon forever), a WAL stream reader from
 // Log.NewStreamReader (abandoned readers leak the tail-segment handle
 // replication holds open) — it
@@ -73,7 +73,7 @@ type resSite struct {
 	errObj types.Object // error result variable, if bound
 	lock   LockID       // lock sites
 	mode   modeBits
-	method string // "Get", "Allocate", "Begin", "Lock", "RLock"
+	method string // "Get", "Allocate", "BeginTx", "Lock", "RLock"
 	block  int
 	pos    token.Pos
 }
@@ -265,7 +265,7 @@ func (ef *errpathFunc) collectSites() []*resSite {
 	return sites
 }
 
-// assignSite recognizes `v, err := x.Get(...)` / Allocate / Begin.
+// assignSite recognizes `v, err := x.Get(...)` / Allocate / BeginTx.
 func (ef *errpathFunc) assignSite(n *ast.AssignStmt, block int) *resSite {
 	if len(n.Rhs) != 1 {
 		return nil
@@ -278,8 +278,6 @@ func (ef *errpathFunc) assignSite(n *ast.AssignStmt, block int) *resSite {
 	method := pagerAcquireMethod(ef.info, call)
 	if method == "" {
 		switch {
-		case methodCallOn(ef.info, call, "DB", "Begin") != nil:
-			kind, method = resTxn, "Begin"
 		case methodCallOn(ef.info, call, "DB", "BeginTx") != nil:
 			kind, method = resTxn, "BeginTx"
 		case methodCallOn(ef.info, call, "DB", "AcquireSnap") != nil:

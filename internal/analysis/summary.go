@@ -137,9 +137,10 @@ func (s lockSet) intersect(o lockSet) bool {
 
 // lockState is the in-flight dataflow fact, split by provenance: locks
 // acquired directly in this function versus inherited from a callee's
-// net holds (a handoff, like db.Begin exiting with txmu held). The
-// split exists because inherited holds must not survive a loop back
-// edge — a handoff covers the statements that follow the call, but
+// net holds (a handoff, like Session.lockShared exiting with the query
+// lock held). The split exists because inherited holds must not
+// survive a loop back edge — a handoff covers the statements that
+// follow the call, but
 // letting it persist across iterations makes every driver running
 // BEGIN…COMMIT in a loop look like it interleaves lock orders it never
 // takes.

@@ -97,21 +97,9 @@ func cleanLoop(pg *Pager, ids []uint32) int {
 	return total
 }
 
-// cleanTxn resolves the transaction on both arms.
-func cleanTxn(d *DB, fail bool) error {
-	tx, err := d.Begin()
-	if err != nil {
-		return err
-	}
-	if fail {
-		return tx.Rollback()
-	}
-	return tx.Commit()
-}
-
 // cleanTxnDefer rolls back through a defer; Commit marks it done first.
 func cleanTxnDefer(d *DB, fail bool) error {
-	tx, err := d.Begin()
+	tx, err := d.BeginTx()
 	if err != nil {
 		return err
 	}
@@ -122,10 +110,9 @@ func cleanTxnDefer(d *DB, fail bool) error {
 	return tx.Commit()
 }
 
-// cleanConcurrentTxn resolves the MVCC transaction on both arms — the
-// conflict path rolls back (the SQL layer's retry contract), the happy
-// path commits.
-func cleanConcurrentTxn(d *DB, conflict bool) error {
+// cleanTxn resolves the transaction on both arms — the conflict path
+// rolls back (the SQL layer's retry contract), the happy path commits.
+func cleanTxn(d *DB, conflict bool) error {
 	tx, err := d.BeginTx()
 	if err != nil {
 		return err

@@ -31,7 +31,6 @@ type DB struct {
 	snaps int
 }
 
-func (d *DB) Begin() (*Tx, error)   { return &Tx{}, nil }
 func (d *DB) BeginTx() (*Tx, error) { return &Tx{}, nil }
 func (t *Tx) Commit() error         { t.done = true; return nil }
 func (t *Tx) Rollback() error       { t.done = true; return nil }
@@ -109,22 +108,10 @@ func leakAllocate(pg *Pager, data []byte) (uint32, error) {
 	return id, nil
 }
 
-// leakTxn neither commits nor rolls back on the failure path.
-func leakTxn(d *DB, fail bool) error {
-	tx, err := d.Begin() // want `transaction "tx" from DB\.Begin is neither committed nor rolled back`
-	if err != nil {
-		return err
-	}
-	if fail {
-		return errBad
-	}
-	return tx.Commit()
-}
-
-// leakConcurrentTxn abandons the MVCC transaction when the write
-// fails: never finished, it stays in the in-flight registry and blocks
+// leakTxn neither commits nor rolls back on the failure path: never
+// finished, the transaction stays in the in-flight registry and blocks
 // the version-GC horizon for the life of the process.
-func leakConcurrentTxn(d *DB, fail bool) error {
+func leakTxn(d *DB, fail bool) error {
 	tx, err := d.BeginTx() // want `transaction "tx" from DB\.BeginTx is neither committed nor rolled back`
 	if err != nil {
 		return err

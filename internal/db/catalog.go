@@ -78,31 +78,29 @@ type Index struct {
 // per table and one B-tree file per index.
 //
 // Concurrency: the database carries a query-level read/write lock
-// (QueryLock) so concurrent SELECT sessions share storage while DML
-// and DDL serialize. The SQL session layer acquires it per statement;
-// callers driving the db API directly across goroutines must do the
-// same. The storage structures underneath carry their own latches, so
-// read-only access is safe even without the query lock.
+// (QueryLock). Reads and row writes take it shared — MVCC isolates
+// concurrent transactions — and DDL takes it exclusively, because it
+// rewrites the catalog maps in place. The SQL session layer acquires
+// it per statement; callers driving the db API directly across
+// goroutines must do the same. The storage structures underneath
+// carry their own latches, so read-only access is safe even without
+// the query lock.
 type DB struct {
 	dir        string
 	cachePages int
 	fs         store.VFS
-	// qmu is the database-level query lock: read-only statements take
-	// it shared, statements that mutate rows or the catalog take it
-	// exclusively. It guards the catalog maps and row data alike.
+	// qmu is the database-level query lock: reads and row writes take
+	// it shared, statements that change the catalog take it
+	// exclusively. It guards the catalog maps.
 	qmu     sync.RWMutex
 	tables  map[string]*Table
 	indexes map[string]*Index
 
 	// wal is the write-ahead log; nil when opened with DisableWAL.
 	wal *wal.Log
-	// txmu serializes ambient write transactions (held from Begin to
-	// Commit/Rollback). Concurrent transactions (BeginTx) bypass it.
-	txmu sync.Mutex
 	// stmu guards the small mutable transaction/lifecycle state below.
-	stmu     sync.Mutex
-	activeTx *Tx
-	commits  uint64
+	stmu    sync.Mutex
+	commits uint64
 
 	// tmu guards the MVCC transaction registry: which transactions are
 	// in flight, when finished ones committed, and which snapshots are
@@ -153,8 +151,8 @@ type DB struct {
 	// single apply loop only.
 	applier *wal.Applier
 
-	// ckptMu serializes checkpoints (never held together with qmu or
-	// txmu — the checkpoint takes qmu shared in short rounds).
+	// ckptMu serializes checkpoints (never held together with qmu —
+	// the checkpoint takes qmu shared in short rounds).
 	ckptMu sync.Mutex
 	// The remaining checkpoint state is guarded by stmu.
 	autoCkptBytes int64
@@ -166,8 +164,8 @@ type DB struct {
 	recovery RecoveryStats
 }
 
-// QueryLock exposes the database-level read/write lock. SELECTs run
-// under RLock (sharing storage), DML and DDL under Lock (serialized).
+// QueryLock exposes the database-level read/write lock. SELECTs and
+// row DML run under RLock (MVCC isolates them), DDL under Lock.
 func (d *DB) QueryLock() *sync.RWMutex { return &d.qmu }
 
 // ErrCorrupt re-exports the storage corruption sentinel: every
@@ -410,33 +408,30 @@ func (d *DB) marshalCatalog() ([]byte, error) {
 }
 
 // saveCatalog records a catalog change. With the WAL enabled the new
-// image is logged under the open transaction and the file write is
-// deferred (Close writes it; after a crash, recovery re-creates it from
-// the log). Without a WAL it is written through immediately.
-func (d *DB) saveCatalog() error {
+// image is logged under tx and the file write is deferred (Close
+// writes it; after a crash, recovery re-creates it from the log).
+// Without a WAL (tx is nil) it is written through immediately.
+func (d *DB) saveCatalog(tx *Tx) error {
 	data, err := d.marshalCatalog()
 	if err != nil {
 		return err
 	}
-	if d.wal != nil {
-		d.stmu.Lock()
-		tx := d.activeTx
-		d.stmu.Unlock()
-		if tx == nil {
-			return errors.New("db: catalog change outside a transaction")
-		}
-		// A catalog change cannot be undone by row compensation; mark
-		// the transaction so its rollback recovers in place.
-		tx.markDDL()
-		if _, err := d.wal.LogCatalog(tx.id, filepath.Base(d.catalogPath()), data); err != nil {
-			return err
-		}
-		d.stmu.Lock()
-		d.catDirty = true
-		d.stmu.Unlock()
-		return nil
+	if d.wal == nil {
+		return d.writeCatalogNow(data)
 	}
-	return d.writeCatalogNow(data)
+	if tx == nil {
+		return errors.New("db: catalog change outside a transaction")
+	}
+	// A catalog change cannot be undone by row compensation; mark the
+	// transaction so its rollback recovers in place.
+	tx.markDDL()
+	if _, err := d.wal.LogCatalog(tx.id, filepath.Base(d.catalogPath()), data); err != nil {
+		return err
+	}
+	d.stmu.Lock()
+	d.catDirty = true
+	d.stmu.Unlock()
+	return nil
 }
 
 // writeCatalogNow publishes the catalog bytes via write-temp + fsync +
@@ -485,14 +480,14 @@ func (d *DB) Close() error {
 
 	var errs []error
 	if recErr == nil && !d.replica {
-		// Roll back every transaction still in flight — the ambient one
-		// and any concurrent ones. finish() rejects a stale handle, so a
-		// racing explicit Commit/Rollback is safe; the rollbacks restore
-		// the committed state before anything is flushed. A rollback that
-		// had to escalate may set the sticky recovery error, so re-read
-		// it afterwards. (A replica's in-flight registry holds the
-		// PRIMARY's open transactions — no local Tx exists to roll back;
-		// their records stay in the local log above the floor.)
+		// Roll back every transaction still in flight. finish() rejects
+		// a stale handle, so a racing explicit Commit/Rollback is safe;
+		// the rollbacks restore the committed state before anything is
+		// flushed. A rollback that had to escalate may set the sticky
+		// recovery error, so re-read it afterwards. (A replica's
+		// in-flight registry holds the PRIMARY's open transactions — no
+		// local Tx exists to roll back; their records stay in the local
+		// log above the floor.)
 		d.tmu.RLock()
 		open := make([]*Tx, 0, len(d.inflight))
 		for _, tx := range d.inflight {
@@ -610,10 +605,24 @@ func (d *DB) Close() error {
 	return err
 }
 
-// CreateTable creates a new empty table. The catalog change is
-// transactional: standalone it commits durably before returning,
-// inside an explicit transaction it becomes part of it.
+// CreateTable creates a new empty table in its own transaction,
+// committed durably before it returns. Like every DDL call it rewrites
+// the catalog maps in place, so a caller sharing the database across
+// goroutines must hold QueryLock exclusively, as the SQL layer does.
 func (d *DB) CreateTable(name string, cols Schema) (*Table, error) {
+	tx, err := d.autoBegin()
+	if err != nil {
+		return nil, err
+	}
+	t, err := d.createTableTx(tx, name, cols)
+	if err := d.autoEnd(tx, err); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// createTableTx validates and creates a table as part of tx.
+func (d *DB) createTableTx(tx *Tx, name string, cols Schema) (*Table, error) {
 	key := strings.ToLower(name)
 	if _, exists := d.tables[key]; exists {
 		return nil, fmt.Errorf("db: table %q already exists", name)
@@ -629,21 +638,9 @@ func (d *DB) CreateTable(name string, cols Schema) (*Table, error) {
 		}
 		seen[lc] = true
 	}
-	tx, err := d.autoBegin()
-	if err != nil {
-		return nil, err
-	}
 	// The catalog-map surgery below is invisible to row compensation;
 	// only in-place recovery can undo it.
 	tx.markDDL()
-	t, err := d.createTableTx(key, name, cols)
-	if err := d.autoEnd(tx, err); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func (d *DB) createTableTx(key, name string, cols Schema) (*Table, error) {
 	h, err := store.OpenHeapFS(d.heapPath(name), d.cachePages, d.fs)
 	if err != nil {
 		return nil, err
@@ -651,7 +648,7 @@ func (d *DB) createTableTx(key, name string, cols Schema) (*Table, error) {
 	d.attachHeap(h)
 	t := &Table{Name: name, Columns: cols, Heap: h, db: d}
 	d.tables[key] = t
-	if err := d.saveCatalog(); err != nil {
+	if err := d.saveCatalog(tx); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -675,42 +672,25 @@ func (d *DB) Tables() []string {
 
 // DropTable removes a table, its heap file and its indexes. The table
 // is always dropped from the catalog; close/remove errors on the
-// backing files are collected and returned alongside.
+// backing files are collected and returned alongside. It needs
+// QueryLock held exclusively, like CreateTable.
 //
-// With the WAL enabled the drop is its own transaction — file removal
-// is not undoable, so the catalog change commits durably first and the
-// backing files are removed only afterwards (a crash in between leaves
-// harmless orphan files). For the same reason DROP TABLE inside an
-// explicit transaction is rejected.
+// The drop is its own transaction. File removal is not undoable, so
+// the catalog change commits durably first and the backing files are
+// removed only afterwards (a crash in between leaves harmless orphan
+// files).
 func (d *DB) DropTable(name string) error {
 	key := strings.ToLower(name)
 	t, ok := d.tables[key]
 	if !ok {
 		return fmt.Errorf("db: no table %q", name)
 	}
-	if d.wal == nil {
-		errs := []error{t.Heap.Close()}
-		delete(d.tables, key)
-		errs = append(errs, d.fs.Remove(d.heapPath(name)))
-		for ikey, ix := range d.indexes {
-			if strings.EqualFold(ix.Def.Table, name) {
-				errs = append(errs, ix.Tree.Close(), d.fs.Remove(d.indexPath(ix.Def.Name)))
-				delete(d.indexes, ikey)
-			}
-		}
-		errs = append(errs, d.saveCatalog())
-		return errors.Join(errs...)
-	}
-	if d.InTxn() {
-		return fmt.Errorf("db: DROP TABLE %s inside an explicit transaction is not supported", name)
-	}
-	tx, err := d.Begin()
+	tx, err := d.autoBegin()
 	if err != nil {
 		return err
 	}
 	tx.markDDL()
-	var errs []error
-	errs = append(errs, t.Heap.Discard())
+	errs := []error{t.Heap.Discard()}
 	delete(d.tables, key)
 	doomed := []string{d.heapPath(name)}
 	for ikey, ix := range d.indexes {
@@ -720,29 +700,22 @@ func (d *DB) DropTable(name string) error {
 			delete(d.indexes, ikey)
 		}
 	}
-	if err := d.saveCatalog(); err != nil {
-		// Roll back: recovery reopens the table from the on-disk
-		// catalog, undoing the map surgery above.
-		errs = append(errs, err, tx.Rollback())
-		return errors.Join(errs...)
-	}
-	if err := tx.Commit(); err != nil {
-		errs = append(errs, err)
-		return errors.Join(errs...)
+	// A failed catalog change rolls back: recovery reopens the table
+	// from the logged catalog, undoing the map surgery above.
+	if err := d.autoEnd(tx, d.saveCatalog(tx)); err != nil {
+		return errors.Join(append(errs, err)...)
 	}
 	for _, path := range doomed {
-		if err := d.fs.Remove(path); err != nil {
-			errs = append(errs, err)
-		}
+		errs = append(errs, d.fs.Remove(path))
 	}
 	return errors.Join(errs...)
 }
 
-// Insert appends a row after checking it against the schema. The row
-// and its index entries are one transaction: standalone, Insert
-// returns only after the row is durably committed; inside an explicit
-// (ambient) transaction it is covered by that transaction's commit.
-// Concurrent sessions use InsertTx with their own transactions.
+// Insert appends a row after checking it against the schema, in its
+// own transaction: the row and its index entries commit durably before
+// Insert returns. Autocommit calls from several goroutines run as
+// concurrent transactions (under QueryLock shared, like SQL's); use
+// InsertTx to group rows into one transaction.
 func (t *Table) Insert(row Row) (store.RID, error) {
 	tx, err := t.db.autoBegin()
 	if err != nil {
@@ -784,11 +757,25 @@ func (t *Table) Scan(fn func(rid store.RID, row Row) error) error {
 func (t *Table) Count() uint64 { return t.Heap.Count() }
 
 // CreateIndex builds a B-tree index over an existing INT column,
-// bulk-loading it with a table scan. The bulk build itself is not
-// logged — the finished tree is flushed to disk before the catalog
-// change that names it commits, so a crash at any point leaves either
-// no index or a complete one (possibly as an orphan file).
+// bulk-loading it with a table scan, in its own transaction. It needs
+// QueryLock held exclusively, like CreateTable. The bulk build itself
+// is not logged — the finished tree is flushed to disk before the
+// catalog change that names it commits, so a crash at any point leaves
+// either no index or a complete one (possibly as an orphan file).
 func (d *DB) CreateIndex(name, table, column string) (*Index, error) {
+	tx, err := d.autoBegin()
+	if err != nil {
+		return nil, err
+	}
+	ix, err := d.createIndexTx(tx, name, table, column)
+	if err := d.autoEnd(tx, err); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// createIndexTx validates and builds an index as part of tx.
+func (d *DB) createIndexTx(tx *Tx, name, table, column string) (*Index, error) {
 	key := strings.ToLower(name)
 	if _, exists := d.indexes[key]; exists {
 		return nil, fmt.Errorf("db: index %q already exists", name)
@@ -804,19 +791,7 @@ func (d *DB) CreateIndex(name, table, column string) (*Index, error) {
 	if t.Columns[ci].Type != TInt {
 		return nil, fmt.Errorf("db: index column %s.%s must be INT (got %v)", table, column, t.Columns[ci].Type)
 	}
-	tx, err := d.autoBegin()
-	if err != nil {
-		return nil, err
-	}
 	tx.markDDL()
-	ix, err := d.createIndexTx(key, name, t, ci)
-	if err := d.autoEnd(tx, err); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-func (d *DB) createIndexTx(key, name string, t *Table, ci int) (*Index, error) {
 	bt, err := store.OpenBTreeFS(d.indexPath(name), d.cachePages, d.fs)
 	if err != nil {
 		return nil, err
@@ -842,7 +817,7 @@ func (d *DB) createIndexTx(key, name string, t *Table, ci int) (*Index, error) {
 	// Only incremental maintenance from here on is logged.
 	d.attachTree(bt)
 	d.indexes[key] = ix
-	if err := d.saveCatalog(); err != nil {
+	if err := d.saveCatalog(tx); err != nil {
 		return nil, err
 	}
 	return ix, nil

@@ -49,12 +49,12 @@ func runCheckpointWorkload(dir string, fs store.VFS) (acked []int64, inflight []
 	}
 
 	// Committed transaction: 4 and 5 appear atomically.
-	tx, err := d.Begin()
+	tx, err := d.BeginTx()
 	if err != nil {
 		return acked, nil
 	}
 	for _, id := range []int64{4, 5} {
-		if _, err := t.Insert(crashRow(id)); err != nil {
+		if _, err := t.InsertTx(tx, crashRow(id)); err != nil {
 			return acked, [][]int64{{4, 5}}
 		}
 	}
@@ -65,12 +65,12 @@ func runCheckpointWorkload(dir string, fs store.VFS) (acked []int64, inflight []
 	_, _ = d.Checkpoint()
 
 	// Rolled-back transaction: 6 and 7 must never persist.
-	tx, err = d.Begin()
+	tx, err = d.BeginTx()
 	if err != nil {
 		return acked, nil
 	}
 	for _, id := range []int64{6, 7} {
-		if _, err := t.Insert(crashRow(id)); err != nil {
+		if _, err := t.InsertTx(tx, crashRow(id)); err != nil {
 			return acked, nil
 		}
 	}
@@ -79,10 +79,11 @@ func runCheckpointWorkload(dir string, fs store.VFS) (acked []int64, inflight []
 	}
 
 	// Transaction left open at Close: 8 must never persist.
-	if _, err := d.Begin(); err != nil {
+	tx, err = d.BeginTx()
+	if err != nil {
 		return acked, nil
 	}
-	if _, err := t.Insert(crashRow(8)); err != nil {
+	if _, err := t.InsertTx(tx, crashRow(8)); err != nil {
 		return acked, nil
 	}
 	return acked, nil

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lexequal/internal/core"
 	"lexequal/internal/dataset"
@@ -414,7 +415,13 @@ func TestLexScanNaiveCorruptPage(t *testing.T) {
 			}
 		}
 	}
-	if n := runtime.NumGoroutine(); n > goroutines {
+	// A worker that has signalled its WaitGroup may not have exited yet;
+	// give exiting goroutines a moment, a leaked one never leaves.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > goroutines && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > goroutines {
 		t.Errorf("%d goroutines after the failed scans, %d before", n, goroutines)
 	}
 

@@ -126,7 +126,7 @@ func TestCoverIndexRefusesWideID(t *testing.T) {
 	if _, err := cfg.Aux.Insert(Row{Int(1 << coverIDBits), Int(1), Str("##n"), Int(GramHash("##n"))}); err != nil {
 		t.Fatal(err)
 	}
-	if err := buildCoverIndex(d, "names", cfg.Aux, make([]rowSummary, len(texts))); err == nil {
+	if err := buildCoverIndex(d, nil, "names", cfg.Aux, make([]rowSummary, len(texts))); err == nil {
 		t.Error("a gram of an id outside the posting layout was indexed")
 	}
 }
@@ -356,7 +356,7 @@ func TestLegacyCoverIndexFallsBack(t *testing.T) {
 	}
 	rebuildCover(t, d, cfg.CoverIndex, legacy)
 	cfg.CoverIndex.Def.Column = legacyCoverColumn
-	if err := d.saveCatalog(); err != nil {
+	if err := d.saveCatalog(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {

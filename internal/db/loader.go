@@ -115,20 +115,20 @@ func CreateNameTable(d *DB, name string, op *core.Operator, texts []core.Text, s
 	}
 	// One transaction for the whole load: with the WAL enabled the
 	// tables, rows, and indexes appear atomically (and commit with a
-	// single fsync); joined if the caller already opened one.
+	// single fsync).
 	tx, err := d.autoBegin()
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := createNameTableTx(d, name, op, texts, spec, q)
+	cfg, err := createNameTableTx(d, tx, name, op, texts, spec, q)
 	if err := d.autoEnd(tx, err); err != nil {
 		return nil, err
 	}
 	return cfg, nil
 }
 
-func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text, spec NameTableSpec, q int) (*LexConfig, error) {
-	t, err := d.CreateTable(name, Schema{
+func createNameTableTx(d *DB, tx *Tx, name string, op *core.Operator, texts []core.Text, spec NameTableSpec, q int) (*LexConfig, error) {
+	t, err := d.createTableTx(tx, name, Schema{
 		{Name: "id", Type: TInt},
 		{Name: "name", Type: TNString},
 		{Name: "pname", Type: TString},
@@ -139,7 +139,7 @@ func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text,
 	}
 	var aux *Table
 	if spec.WithAux {
-		aux, err = d.CreateTable(name+"_qgrams", Schema{
+		aux, err = d.createTableTx(tx, name+"_qgrams", Schema{
 			{Name: "id", Type: TInt},
 			{Name: "pos", Type: TInt},
 			{Name: "qgram", Type: TString},
@@ -164,21 +164,21 @@ func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text,
 			if aux != nil {
 				for _, g := range qgram.Extract(enc.Project(p), q) {
 					key := g.Key()
-					if _, err := aux.Insert(Row{Int(int64(i)), Int(int64(g.Pos)), Str(key), Int(GramHash(key))}); err != nil {
+					if _, err := aux.InsertTx(tx, Row{Int(int64(i)), Int(int64(g.Pos)), Str(key), Int(GramHash(key))}); err != nil {
 						return nil, err
 					}
 				}
 			}
 		}
-		if _, err := t.Insert(row); err != nil {
+		if _, err := t.InsertTx(tx, row); err != nil {
 			return nil, err
 		}
 	}
 	if spec.WithIndexes {
-		if _, err := d.CreateIndex(name+"_id_idx", name, "id"); err != nil {
+		if _, err := d.createIndexTx(tx, name+"_id_idx", name, "id"); err != nil {
 			return nil, err
 		}
-		if _, err := d.CreateIndex(name+"_gid_idx", name, "groupid"); err != nil {
+		if _, err := d.createIndexTx(tx, name+"_gid_idx", name, "groupid"); err != nil {
 			return nil, err
 		}
 		if spec.WithAux {
@@ -186,7 +186,7 @@ func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text,
 			// into the value, so the gram probe never touches the aux heap
 			// (the index-only plan a real optimizer would use for Figure
 			// 14) and filters before it touches the base heap.
-			if err := buildCoverIndex(d, name, aux, sums); err != nil {
+			if err := buildCoverIndex(d, tx, name, aux, sums); err != nil {
 				return nil, err
 			}
 		}
@@ -294,7 +294,7 @@ const (
 // buildCoverIndex bulk-loads the covering gram index: the postings of
 // the aux table in scan order, then the weak list. sums holds the
 // summary of the base row with id i at i.
-func buildCoverIndex(d *DB, name string, aux *Table, sums []rowSummary) error {
+func buildCoverIndex(d *DB, tx *Tx, name string, aux *Table, sums []rowSummary) error {
 	var weakList []coverEntry
 	for id, s := range sums {
 		if s.weak == 0 {
@@ -348,5 +348,5 @@ func buildCoverIndex(d *DB, name string, aux *Table, sums []rowSummary) error {
 		Def:  IndexDef{Name: idxName, Table: aux.Name, Column: coverColumn},
 		Tree: bt,
 	}
-	return d.saveCatalog()
+	return d.saveCatalog(tx)
 }

@@ -288,7 +288,7 @@ func (t *Table) InsertTx(tx *Tx, row Row) (store.RID, error) {
 		if err := tx.usableTx(); err != nil {
 			return store.RID{}, err
 		}
-		xmin = tx.owner.id
+		xmin = tx.id
 		lg = txLogger{d, tx}
 	} else if d.wal != nil {
 		return store.RID{}, errors.New("db: insert without a transaction on a WAL-enabled database")
@@ -352,7 +352,7 @@ func (t *Table) DeleteTx(tx *Tx, rid store.RID) error {
 // stamp or clear this row's xmax.
 func (t *Table) claimRow(tx *Tx, rid store.RID) error {
 	d := t.db
-	self := tx.owner.id
+	self := tx.id
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	rec, err := t.Heap.Get(rid)
@@ -379,7 +379,7 @@ func (t *Table) claimRow(tx *Tx, rid store.RID) error {
 		_, live := d.inflight[xmin]
 		at, known := d.committedAt[xmin]
 		d.tmu.RUnlock()
-		if live || (known && tx.owner.snap != nil && at > tx.owner.snap.h) {
+		if live || (known && tx.snap != nil && at > tx.snap.h) {
 			// The row's creator is uncommitted or committed after our
 			// snapshot: deleting a row we cannot (yet) see is the same
 			// write-write race, reported the same way.

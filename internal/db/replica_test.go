@@ -33,24 +33,24 @@ func primaryWorkload(t *testing.T, d *DB) *Tx {
 			t.Fatal(err)
 		}
 	}
-	tx, err := d.Begin()
+	tx, err := d.BeginTx()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []int64{6, 7} {
-		if _, err := tab.Insert(Row{Int(id), Str("txn")}); err != nil {
+		if _, err := tab.InsertTx(tx, Row{Int(id), Str("txn")}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	tx, err = d.Begin()
+	tx, err = d.BeginTx()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []int64{8, 9} {
-		if _, err := tab.Insert(Row{Int(id), Str("never")}); err != nil {
+		if _, err := tab.InsertTx(tx, Row{Int(id), Str("never")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,11 +82,11 @@ func primaryWorkload(t *testing.T, d *DB) *Tx {
 	}
 	// One transaction stays open: in flight on the primary while the
 	// stream below is captured.
-	open, err := d.Begin()
+	open, err := d.BeginTx()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Insert(Row{Int(100), Str("open")}); err != nil {
+	if _, err := tab.InsertTx(open, Row{Int(100), Str("open")}); err != nil {
 		t.Fatal(err)
 	}
 	return open
@@ -225,10 +225,10 @@ func TestReplicaAppliesStream(t *testing.T) {
 	}
 
 	// Writes are refused.
-	if _, err := repl.Begin(); err == nil {
-		t.Fatal("replica accepted Begin")
+	if _, err := repl.BeginTx(); err == nil {
+		t.Fatal("replica accepted BeginTx")
 	} else if !errors.Is(err, ErrReplica) {
-		t.Fatalf("Begin error %v does not mark ErrReplica", err)
+		t.Fatalf("BeginTx error %v does not mark ErrReplica", err)
 	}
 	if _, err := repl.CreateTable("nope", Schema{{Name: "x", Type: TInt}}); err == nil {
 		t.Fatal("replica accepted CreateTable")

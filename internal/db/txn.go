@@ -10,29 +10,17 @@ import (
 )
 
 // Tx is a write transaction under snapshot isolation: it reads from
-// the snapshot taken at Begin (plus its own writes) and its writes
+// the snapshot taken at BeginTx (plus its own writes) and its writes
 // become visible to others atomically at Commit. Independent
 // transactions run concurrently; two that claim the same row resolve
 // by first writer wins, the loser getting ErrSerializationFailure.
+// Any number may be in flight, each used by one goroutine at a time.
 // A Tx is finished by exactly one of Commit or Rollback.
-//
-// Two flavors exist. BeginTx opens a concurrent transaction — any
-// number may be in flight, each used by one goroutine at a time. Begin
-// opens the *ambient* transaction: it additionally serializes on the
-// legacy writer mutex and becomes the transaction that the
-// autocommitting Table helpers (Insert, Delete, the DDL statements)
-// join — the pre-MVCC single-writer API, preserved for callers that
-// drive the db layer directly.
 type Tx struct {
-	d      *DB
-	id     uint64
-	joined bool // piggy-backed handle on an already-open transaction
-	done   bool
-	// owner is the transaction that actually holds the ID, snapshot and
-	// write set: the Tx itself, or the ambient transaction a joined
-	// handle rides on.
-	owner *Tx
-	snap  *Snap
+	d    *DB
+	id   uint64
+	done bool
+	snap *Snap
 	// writes is the compensation log: every heap write in order, undone
 	// in reverse on rollback. Guarded by d.stmu.
 	writes []txWrite
@@ -43,63 +31,33 @@ type Tx struct {
 	// ddl marks a catalog change, which compensation cannot undo
 	// either. Guarded by d.stmu.
 	ddl bool
-	// ambient is whether this transaction holds txmu and is registered
-	// as d.activeTx.
-	ambient bool
 }
 
 // errTxDone is returned by operations on a finished transaction.
 var errTxDone = errors.New("db: transaction already finished")
 
 // txLogger adapts the log to store.PageLogger for one transaction:
-// captured page images are stamped with its ID. Unlike the pre-MVCC
-// ambient logger it carries the transaction explicitly, so any number
-// can log concurrently — including a rollback compensating a
-// transaction that is already finished.
+// captured page images are stamped with its ID. It carries the
+// transaction explicitly, so any number can log concurrently —
+// including a rollback compensating a transaction that is already
+// finished.
 type txLogger struct {
 	d  *DB
 	tx *Tx
 }
 
 func (w txLogger) LogPage(path string, id store.PageID, payload []byte) (uint64, error) {
-	return w.d.wal.LogPage(w.tx.owner.id, path, id, payload)
+	return w.d.wal.LogPage(w.tx.id, path, id, payload)
 }
 
-// Begin opens the ambient write transaction, blocking until any other
-// ambient transaction finishes. The database must have been opened
-// with the WAL enabled (the default).
+// BeginTx opens a write transaction. It never blocks behind other
+// transactions; conflicts surface later as ErrSerializationFailure
+// from the row that loses a claim race. The database must have been
+// opened with the WAL enabled (the default).
 //
-// Concurrency contract: the goroutine that begins an ambient
-// transaction is the only one that may use the autocommitting Table
-// helpers until it finishes the transaction. For concurrent writers
-// use BeginTx.
-func (d *DB) Begin() (*Tx, error) {
-	if d.wal == nil {
-		return nil, errors.New("db: transactions require the write-ahead log (database opened with DisableWAL)")
-	}
-	if err := d.usable(); err != nil {
-		return nil, err
-	}
-	//lint:ignore errpath txmu is handed off to the returned Tx: held for the transaction's lifetime, released by Commit or Rollback
-	d.txmu.Lock()
-	if err := d.usable(); err != nil {
-		d.txmu.Unlock()
-		return nil, err
-	}
-	tx, err := d.beginTx(true)
-	if err != nil {
-		d.txmu.Unlock()
-		return nil, err
-	}
-	d.stmu.Lock()
-	d.activeTx = tx
-	d.stmu.Unlock()
-	return tx, nil
-}
-
-// BeginTx opens a concurrent write transaction. It never blocks behind
-// other transactions; conflicts surface later as
-// ErrSerializationFailure from the row that loses a claim race.
+// The begin record's LSN is the transaction's ID; the transaction is
+// registered in flight with its snapshot before it is returned, so no
+// row can carry an ID the registry has not seen.
 func (d *DB) BeginTx() (*Tx, error) {
 	if d.wal == nil {
 		return nil, errors.New("db: transactions require the write-ahead log (database opened with DisableWAL)")
@@ -107,14 +65,6 @@ func (d *DB) BeginTx() (*Tx, error) {
 	if err := d.usable(); err != nil {
 		return nil, err
 	}
-	return d.beginTx(false)
-}
-
-// beginTx logs the begin record — whose LSN is the transaction's ID —
-// and registers the transaction in flight with its snapshot. The two
-// registrations happen before the Tx is returned, so no row can carry
-// an ID the registry has not seen.
-func (d *DB) beginTx(ambient bool) (*Tx, error) {
 	if d.replica {
 		return nil, fmt.Errorf("%w: writes must go to the primary", ErrReplica)
 	}
@@ -122,8 +72,7 @@ func (d *DB) beginTx(ambient bool) (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx := &Tx{d: d, id: id, ambient: ambient}
-	tx.owner = tx
+	tx := &Tx{d: d, id: id}
 	d.tmu.Lock()
 	d.inflight[id] = tx
 	tx.snap = &Snap{h: d.maxCommit, self: id, reg: true}
@@ -132,23 +81,16 @@ func (d *DB) beginTx(ambient bool) (*Tx, error) {
 	return tx, nil
 }
 
-// Snapshot returns the transaction's read snapshot (taken at Begin:
+// Snapshot returns the transaction's read snapshot (taken at BeginTx:
 // repeatable reads, plus the transaction's own writes).
-func (tx *Tx) Snapshot() *Snap { return tx.owner.snap }
-
-// InTxn reports whether the ambient write transaction is open.
-func (d *DB) InTxn() bool {
-	d.stmu.Lock()
-	defer d.stmu.Unlock()
-	return d.activeTx != nil
-}
+func (tx *Tx) Snapshot() *Snap { return tx.snap }
 
 // Done reports whether the transaction has been finished by Commit or
 // Rollback (directly, or by a failed statement aborting it).
 func (tx *Tx) Done() bool {
 	tx.d.stmu.Lock()
 	defer tx.d.stmu.Unlock()
-	return tx.owner.done
+	return tx.done
 }
 
 // usableTx fails operations on a finished or tainted transaction.
@@ -156,10 +98,10 @@ func (tx *Tx) usableTx() error {
 	d := tx.d
 	d.stmu.Lock()
 	defer d.stmu.Unlock()
-	if tx.owner.done {
+	if tx.done {
 		return errTxDone
 	}
-	if tx.owner.tainted {
+	if tx.tainted {
 		return errors.New("db: transaction unusable after a failed mutation; roll it back")
 	}
 	return nil
@@ -175,7 +117,7 @@ func (tx *Tx) noteStoreErr(err error) {
 	}
 	d := tx.d
 	d.stmu.Lock()
-	tx.owner.tainted = true
+	tx.tainted = true
 	d.stmu.Unlock()
 }
 
@@ -187,7 +129,7 @@ func (tx *Tx) track(w txWrite) {
 	}
 	d := tx.d
 	d.stmu.Lock()
-	tx.owner.writes = append(tx.owner.writes, w)
+	tx.writes = append(tx.writes, w)
 	d.stmu.Unlock()
 }
 
@@ -198,45 +140,24 @@ func (tx *Tx) markDDL() {
 	}
 	d := tx.d
 	d.stmu.Lock()
-	tx.owner.ddl = true
+	tx.ddl = true
 	d.stmu.Unlock()
 }
 
-// autoBegin wraps a single mutating operation in a transaction: it
-// joins the open ambient transaction if there is one (the operation
-// runs as part of it and is finished by the caller's Commit/Rollback),
-// begins a fresh ambient one otherwise, and returns nil when the WAL
-// is disabled.
+// autoBegin opens the transaction one autocommitting operation runs
+// in: a fresh BeginTx, or nil when the WAL is disabled (unlogged bulk
+// mode, where the operation writes through untracked).
 func (d *DB) autoBegin() (*Tx, error) {
 	if d.wal == nil {
 		return nil, nil
 	}
-	d.stmu.Lock()
-	if cur := d.activeTx; cur != nil {
-		tx := &Tx{d: d, id: cur.id, joined: true, owner: cur}
-		d.stmu.Unlock()
-		return tx, nil
-	}
-	d.stmu.Unlock()
-	return d.Begin()
+	return d.BeginTx()
 }
 
 // autoEnd finishes an autoBegin transaction: commit on success, roll
-// back on failure. When the failed statement ran inside an explicit
-// transaction, that whole transaction is rolled back on the spot — its
-// owner's later Commit/Rollback reports "already finished", which the
-// SQL layer translates to the usual "transaction aborted by an earlier
-// error".
+// back on failure.
 func (d *DB) autoEnd(tx *Tx, err error) error {
 	if tx == nil {
-		return err
-	}
-	if tx.joined {
-		if err != nil {
-			if rbErr := tx.owner.Rollback(); rbErr != nil && !errors.Is(rbErr, errTxDone) {
-				err = errors.Join(err, rbErr)
-			}
-		}
 		return err
 	}
 	if err != nil {
@@ -248,23 +169,15 @@ func (d *DB) autoEnd(tx *Tx, err error) error {
 	return tx.Commit()
 }
 
-// finish marks tx finished exactly once; the ambient transaction is
-// also detached from the database. The ambient caller still holds txmu
-// and must release it.
+// finish marks tx finished exactly once.
 func (tx *Tx) finish() error {
 	d := tx.d
 	d.stmu.Lock()
 	defer d.stmu.Unlock()
-	if tx.done || tx.joined {
+	if tx.done {
 		return errTxDone
 	}
-	if tx.ambient && d.activeTx != tx {
-		return errors.New("db: not the active transaction")
-	}
 	tx.done = true
-	if tx.ambient {
-		d.activeTx = nil
-	}
 	return nil
 }
 
@@ -276,7 +189,7 @@ func (tx *Tx) finish() error {
 func (tx *Tx) CommitNoWait() (uint64, error) {
 	d := tx.d
 	d.stmu.Lock()
-	tainted := tx.owner.tainted
+	tainted := tx.tainted
 	d.stmu.Unlock()
 	if tainted {
 		// The cache holds changes no log record describes; committing
@@ -298,17 +211,10 @@ func (tx *Tx) CommitNoWait() (uint64, error) {
 		// writes are live in the page caches and would be served to
 		// later snapshots once this ID fell out of the in-flight
 		// registry. Undo them while the transaction is still registered.
-		err = errors.Join(fmt.Errorf("db: commit: %w", err), tx.undo())
-		if tx.ambient {
-			d.txmu.Unlock()
-		}
-		return 0, err
+		return 0, errors.Join(fmt.Errorf("db: commit: %w", err), tx.undo())
 	}
 	d.ReleaseSnap(tx.snap)
 	tx.snap = nil
-	if tx.ambient {
-		d.txmu.Unlock()
-	}
 	d.stmu.Lock()
 	d.commits++
 	d.stmu.Unlock()
@@ -339,17 +245,13 @@ func (d *DB) WaitDurable(lsn uint64) error {
 // cleared — so concurrent transactions are untouched. A transaction
 // that changed the catalog, or whose failed mutation left unlogged
 // dirty pages, cannot be compensated; its rollback falls back to
-// in-place recovery (drop every cache, replay the log), which requires
-// it to be the only transaction in flight — the DDL paths guarantee
-// that. If recovery is impossible or fails, the database is marked
-// unusable and every later operation reports the error.
+// in-place recovery (drop every cache, replay the log), which needs the
+// database idle: no other transaction in flight and the query lock
+// free (escalate). If recovery is impossible or fails, the database is
+// marked unusable and every later operation reports the error.
 func (tx *Tx) Rollback() error {
-	d := tx.d
 	if err := tx.finish(); err != nil {
 		return err
-	}
-	if tx.ambient {
-		defer d.txmu.Unlock()
 	}
 	return tx.undo()
 }
@@ -484,8 +386,8 @@ func firstErr(errs ...error) error {
 // loser records are skipped, rows the losers left embedded in committed
 // images are purged by version header, and the catalog and all storage
 // objects are reloaded from the recovered files. Callers must ensure no
-// other transaction is in flight and no reader is mid-scan (the DDL
-// paths hold the query lock exclusively).
+// other transaction is in flight and no reader is mid-scan (escalate
+// checks the first and holds the query lock exclusively).
 func (d *DB) recoverInPlace() error {
 	for _, t := range d.tables {
 		if err := t.Heap.Discard(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -55,12 +56,12 @@ func runCrashWorkload(dir string, fs store.VFS) (acked []int64, inflight [][]int
 	}
 
 	// Committed transaction: 4 and 5 appear atomically.
-	tx, err := d.Begin()
+	tx, err := d.BeginTx()
 	if err != nil {
 		return acked, nil
 	}
 	for _, id := range []int64{4, 5} {
-		if _, err := t.Insert(crashRow(id)); err != nil {
+		if _, err := t.InsertTx(tx, crashRow(id)); err != nil {
 			return acked, [][]int64{{4, 5}}
 		}
 	}
@@ -70,12 +71,12 @@ func runCrashWorkload(dir string, fs store.VFS) (acked []int64, inflight [][]int
 	acked = append(acked, 4, 5)
 
 	// Rolled-back transaction: 6 and 7 must never persist.
-	tx, err = d.Begin()
+	tx, err = d.BeginTx()
 	if err != nil {
 		return acked, nil
 	}
 	for _, id := range []int64{6, 7} {
-		if _, err := t.Insert(crashRow(id)); err != nil {
+		if _, err := t.InsertTx(tx, crashRow(id)); err != nil {
 			return acked, nil
 		}
 	}
@@ -84,10 +85,11 @@ func runCrashWorkload(dir string, fs store.VFS) (acked []int64, inflight [][]int
 	}
 
 	// Transaction left open at Close: 8 must never persist.
-	if _, err := d.Begin(); err != nil {
+	tx, err = d.BeginTx()
+	if err != nil {
 		return acked, nil
 	}
-	if _, err := t.Insert(crashRow(8)); err != nil {
+	if _, err := t.InsertTx(tx, crashRow(8)); err != nil {
 		return acked, nil
 	}
 	return acked, nil
@@ -256,11 +258,11 @@ func TestCommitAppendFailureRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tx, err := d.Begin()
+	tx, err := d.BeginTx()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Insert(crashRow(2)); err != nil {
+	if _, err := tab.InsertTx(tx, crashRow(2)); err != nil {
 		t.Fatal(err)
 	}
 	// The next WriteAt is the commit record's append.
@@ -328,11 +330,11 @@ func TestCommitAppendFailureDropsDDL(t *testing.T) {
 	if _, err := tab.Insert(crashRow(1)); err != nil {
 		t.Fatal(err)
 	}
-	tx, err := d.Begin()
+	tx, err := d.BeginTx()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.CreateTable("ghost", Schema{{Name: "x", Type: TInt}}); err != nil {
+	if _, err := d.createTableTx(tx, "ghost", Schema{{Name: "x", Type: TInt}}); err != nil {
 		t.Fatal(err)
 	}
 	// The next WriteAt is the commit record's append.
@@ -368,6 +370,92 @@ func TestCommitAppendFailureDropsDDL(t *testing.T) {
 		if len(got) != 2 || got[0] != "after" || got[1] != "t" {
 			t.Fatalf("%s: tables %v, want [after t]", c.label, got)
 		}
+	}
+}
+
+// TestEscalateRefusesWhileInUse: rolling back a catalog change needs
+// in-place recovery, which is sound only on an idle database. With
+// another transaction in flight, or a reader holding the query lock,
+// the rollback refuses instead, every later operation reports the
+// database unusable, and the next open recovers exactly the committed
+// state: no uncommitted row, no uncommitted table.
+func TestEscalateRefusesWhileInUse(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		// busy makes the database busy before the rollback; the
+		// returned func ends that after it.
+		busy func(t *testing.T, d *DB, tab *Table) func()
+	}{
+		{"other transaction in flight", "other transactions in flight", func(t *testing.T, d *DB, tab *Table) func() {
+			a, err := d.BeginTx()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tab.InsertTx(a, crashRow(2)); err != nil {
+				t.Fatal(err)
+			}
+			return func() {}
+		}},
+		{"reader holds the query lock", "while the database is in use", func(t *testing.T, d *DB, tab *Table) func() {
+			d.QueryLock().RLock()
+			return d.QueryLock().RUnlock
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			d, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := d.CreateTable("t", Schema{{Name: "id", Type: TInt}, {Name: "name", Type: TString}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tab.Insert(crashRow(1)); err != nil {
+				t.Fatal(err)
+			}
+			release := tc.busy(t, d, tab)
+			b, err := d.BeginTx()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.createTableTx(b, "ghost", Schema{{Name: "x", Type: TInt}}); err != nil {
+				t.Fatal(err)
+			}
+			err = b.Rollback()
+			release()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("rollback of a catalog change on a busy database: %v, want %q", err, tc.want)
+			}
+			if _, err := tab.Insert(crashRow(3)); err == nil {
+				t.Error("insert succeeded on an unusable database")
+			}
+			if _, err := d.BeginTx(); err == nil {
+				t.Error("BeginTx succeeded on an unusable database")
+			}
+			if _, err := d.CreateTable("later", Schema{{Name: "x", Type: TInt}}); err == nil {
+				t.Error("CreateTable succeeded on an unusable database")
+			}
+			if err := d.Close(); err == nil {
+				t.Error("Close reported no error on an unusable database")
+			}
+
+			counts := dumpIDs(t, "reopen", dir)
+			if len(counts) != 1 || counts[1] != 1 {
+				t.Fatalf("reopen: counts = %v, want id 1 only", counts)
+			}
+			r, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := r.Tables()
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0] != "t" {
+				t.Fatalf("reopen: tables %v, want [t]", got)
+			}
+		})
 	}
 }
 
