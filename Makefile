@@ -6,7 +6,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lockgraph test race fuzz-smoke bench bench-smoke bench-module perf-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
+.PHONY: all build vet lint lint-json lockgraph test race fuzz-smoke bench bench-smoke bench-module bench-traced perf-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
 
 all: build
 
@@ -66,6 +66,19 @@ bench-smoke:
 bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
+# Every workload's traced pass of the BENCHMARK.json harness once (the
+# per-layer metrics and their ledgers: a pager read per miss, say), then
+# the insert_probe_mixed traced pass five more times with seeds 1-5: a
+# concurrent writer and checkpoints make it the pass where a counter
+# that splits under concurrency shows first. Any ledger breach fails.
+bench-traced:
+	@for w in scan_naive filter_qgram probe_indexed insert_probe_mixed; do \
+		bash bench/run.sh -workload $$w -trace 1 || exit 1; \
+	done
+	@for s in 1 2 3 4 5; do \
+		bash bench/run.sh -workload insert_probe_mixed -trace 1 -seed $$s || exit 1; \
+	done
+
 # The paper's Table 2 experiment at 20k rows into a throwaway directory,
 # so cmd/perf's load path (DESIGN.md §11: bulk loads go through
 # BuildAtomic, not one WAL transaction) cannot break unnoticed.
@@ -116,7 +129,7 @@ mvcc-smoke:
 	$(GO) test -race -count=1 -run 'TestMVCCSmoke|TestSelectNeverBlocksBehindWriter|TestWriteWriteConflictAbortsAndRetries' ./internal/sql/
 	$(GO) test -race -count=1 -run 'TestMVCC' ./internal/db/
 
-ci: vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke bench-module perf-smoke
+ci: vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke bench-module perf-smoke bench-traced
 
 clean:
 	$(GO) clean ./...

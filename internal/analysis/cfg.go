@@ -255,8 +255,12 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = after
 	case *ast.RangeStmt:
 		label := b.takeLabel()
+		// The range expression is evaluated once, before the first
+		// iteration; the head carries no nodes. Placing the whole
+		// RangeStmt there would make every call of the body look as if
+		// it were also made at the head, on the non-back edge into it.
+		b.add(s.X)
 		head := b.newBlock("range.head")
-		head.Nodes = append(head.Nodes, s)
 		b.edge(b.cur, head, nil, false, false)
 		body := b.newBlock("range.body")
 		after := b.newBlock("range.after")

@@ -126,6 +126,44 @@ outer:
 	}
 }
 
+// TestCFGRangeHead pins a range loop's nodes: the range expression is
+// evaluated once, in the block before the loop, and the head holds
+// nothing, so no call of the body is also seen at the head.
+func TestCFGRangeHead(t *testing.T) {
+	g := buildCFG(t, `
+func f() {
+	mark("before")
+	for _, x := range src(mark("expr")) {
+		mark("body")
+		use(x)
+	}
+	mark("done")
+}`, "f")
+
+	before, expr := markBlock(t, g, "before"), markBlock(t, g, "expr")
+	if before != expr {
+		t.Errorf("the range expression is in block %q, want the block before the loop", expr.What)
+	}
+	body := markBlock(t, g, "body")
+	if body.What != "range.body" {
+		t.Fatalf("the first block holding the body's call is %q, want range.body", body.What)
+	}
+	var head *analysis.Block
+	for _, e := range before.Succs {
+		head = e.To
+	}
+	if head == nil || head.What != "range.head" {
+		t.Fatalf("the block before the loop does not lead to the range head")
+	}
+	if len(head.Nodes) != 0 {
+		t.Errorf("range head holds %d nodes, want none", len(head.Nodes))
+	}
+	if !hasEdge(head, body) || !hasEdge(body, head) || !hasEdge(head, markBlock(t, g, "done")) {
+		t.Errorf("range loop edges: head→body %v, body→head %v, head→after %v",
+			hasEdge(head, body), hasEdge(body, head), hasEdge(head, markBlock(t, g, "done")))
+	}
+}
+
 func TestCFGSelect(t *testing.T) {
 	g := buildCFG(t, `
 func f(c, d chan int) {

@@ -110,7 +110,7 @@ type batchBuilder struct {
 // signature-prefilter columns (projected lengths and q-gram Bloom
 // signatures at gram length sigQ).
 func (op *Operator) newBatchBuilder(k Kernel, sigQ int) batchBuilder {
-	return batchBuilder{op: op, kern: op.compileKernel(k), sigQ: sigQ}
+	return batchBuilder{op: op, kern: op.modelKernel(k), sigQ: sigQ}
 }
 
 // size readies b's scalar columns for rows [0, n), reusing their

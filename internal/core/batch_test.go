@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -343,5 +345,131 @@ func TestVerifyFetchedFirstErrorInMorselOrder(t *testing.T) {
 		if w == 1 && started[10].Load() {
 			t.Error("the serial run went on past the failed morsel")
 		}
+	}
+}
+
+// pooledKernelCase is the rows to verify pattern against: base (the
+// non-empty rows of batchRows), every pattern of the test, and edited
+// copies of pattern.
+func pooledKernelCase(base, patterns []phoneme.String, pattern phoneme.String) []phoneme.String {
+	rows := append(append([]phoneme.String(nil), base...), patterns...)
+	for i := 0; i < len(pattern); i += 2 {
+		del := append(append(phoneme.String(nil), pattern[:i]...), pattern[i+1:]...)
+		sub := append(phoneme.String(nil), pattern...)
+		sub[i] = base[len(base)-1-i%len(base)][0] // another row's first phoneme
+		rows = append(rows, del, sub, pattern[i:])
+	}
+	return rows
+}
+
+// pooledKernelPatterns is a 60-phoneme pattern, near the kernel's
+// machine-word limit, and 3-phoneme ones: the long pattern's first
+// three phonemes rotated, so that mask bits a recycled copy failed to
+// clear would match the long pattern's prefix, and its last three.
+func pooledKernelPatterns(t *testing.T, op *Operator) []phoneme.String {
+	t.Helper()
+	var long phoneme.String
+	for _, txt := range bigCatalog() {
+		q, err := op.Transform(txt.Value, txt.Lang)
+		if err != nil {
+			continue // a language without a TTP converter
+		}
+		if long = append(long, q...); len(long) >= 60 {
+			long = long[:60]
+			return []phoneme.String{long, {long[2], long[0], long[1]}, long[:3], long[57:]}
+		}
+	}
+	t.Fatal("catalog too short for a 60-phoneme pattern")
+	return nil
+}
+
+func nonEmpty(rows []phoneme.String) []phoneme.String {
+	var out []phoneme.String
+	for _, r := range rows {
+		if len(r) > 0 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// checkVerifyAgainstScalar runs Verify of pattern over rows with the
+// bit-parallel kernel and compares it row for row with the scalar
+// kernel's verdicts.
+func checkVerifyAgainstScalar(op *Operator, pattern phoneme.String, rows []phoneme.String, workers int) error {
+	got, _ := op.Verify(pattern, 0.3, len(rows), sliceSource(rows), 0, nil, Parallel(workers), WithKernel(KernelBitvec))
+	matched := make([]bool, len(rows))
+	for _, i := range got {
+		matched[i] = true
+	}
+	n := 0
+	for i, r := range rows {
+		want := len(r) > 0 && op.MatchPhonemes(pattern, r, 0.3)
+		if matched[i] != want {
+			return fmt.Errorf("%d-phoneme pattern, row %d (%d phonemes): kernel says %v, scalar %v", len(pattern), i, len(r), matched[i], want)
+		}
+		if want {
+			n++
+		}
+	}
+	if n == 0 {
+		return fmt.Errorf("%d-phoneme pattern: no row matches, the check is vacuous", len(pattern))
+	}
+	return nil
+}
+
+// TestPooledKernelMatchesScalar: matchers prepare pattern-state copies
+// of the operator's compiled kernel taken from a pool. A copy recycled
+// from a 60-phoneme pattern must verify a 3-phoneme pattern exactly like
+// a fresh one: row for row what the scalar kernel decides.
+func TestPooledKernelMatchesScalar(t *testing.T) {
+	op := newOp(t)
+	base := nonEmpty(batchRows(t, op))
+	patterns := pooledKernelPatterns(t, op)
+	for _, i := range []int{0, 1, 0, 2, 0, 3} {
+		if err := checkVerifyAgainstScalar(op, patterns[i], pooledKernelCase(base, patterns, patterns[i]), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPooledKernelConcurrentVerify: concurrent Verify calls on one
+// operator each prepare their own pooled copy; under -race this checks
+// that no two share pattern state and none prepares the shared model.
+func TestPooledKernelConcurrentVerify(t *testing.T) {
+	op := newOp(t)
+	base := nonEmpty(batchRows(t, op))
+	patterns := pooledKernelPatterns(t, op)
+	cases := make([][]phoneme.String, len(patterns))
+	for i, p := range patterns {
+		cases[i] = pooledKernelCase(base, patterns, p)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 8; round++ {
+				i := (g + round) % len(patterns)
+				if err := checkVerifyAgainstScalar(op, patterns[i], cases[i], 1+round%2); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestResolveKernelAllocatesNothing: the model-level kernel decision
+// reads the kernel the operator compiled once.
+func TestResolveKernelAllocatesNothing(t *testing.T) {
+	op := newOp(t)
+	var k Kernel
+	if n := testing.AllocsPerRun(100, func() { k = op.ResolveKernel(KernelAuto) }); n != 0 {
+		t.Errorf("ResolveKernel made %v allocations per call, want 0", n)
+	}
+	if k != KernelBitvec {
+		t.Errorf("ResolveKernel(auto) = %v under the default dyadic model, want bitvec", k)
 	}
 }

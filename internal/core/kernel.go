@@ -54,26 +54,20 @@ func ParseKernel(s string) (Kernel, error) {
 // back per query at runtime; this is the model-level decision EXPLAIN
 // shows.
 func (op *Operator) ResolveKernel(k Kernel) Kernel {
-	if k != KernelScalar {
-		if _, ok := editdist.NewBitvec(op.cost); ok {
-			return KernelBitvec
-		}
+	if op.modelKernel(k) != nil {
+		return KernelBitvec
 	}
 	return KernelScalar
 }
 
-// compileKernel builds a bit-parallel kernel instance for the knob, or
-// nil when the scalar path was chosen or the model is not
-// bit-parallelizable.
-func (op *Operator) compileKernel(k Kernel) *editdist.Bitvec {
+// modelKernel is the operator's compiled cost model for the knob, or nil
+// when the scalar path was chosen or the model is not
+// bit-parallelizable. It is shared and must never be prepared.
+func (op *Operator) modelKernel(k Kernel) *editdist.Bitvec {
 	if k == KernelScalar {
 		return nil
 	}
-	bv, ok := editdist.NewBitvec(op.cost)
-	if !ok {
-		return nil
-	}
-	return bv
+	return op.kern
 }
 
 // BatchMatcher verifies batch rows against one query pattern: the
@@ -83,7 +77,8 @@ func (op *Operator) compileKernel(k Kernel) *editdist.Bitvec {
 // counter that proves the dispatch path. A matcher whose pattern is
 // fixed for the whole scan may be shared by concurrent lanes (Decide
 // only reads); pattern-varying probes must use a lane-private matcher
-// (SetPattern mutates kernel state).
+// (SetPattern mutates kernel state). Its kernel is a pattern-state copy
+// from the operator's pool, handed back by release.
 type BatchMatcher struct {
 	op    *Operator
 	bv    *editdist.Bitvec
@@ -93,24 +88,34 @@ type BatchMatcher struct {
 	e     float64
 }
 
-// NewBatchMatcher compiles a matcher with a fixed query pattern, for
+// NewBatchMatcher builds a matcher with a fixed query pattern, for
 // scans where every candidate compares against the same string.
 func (op *Operator) NewBatchMatcher(qp phoneme.String, threshold float64, k Kernel) *BatchMatcher {
-	m := &BatchMatcher{op: op, bv: op.compileKernel(k), tick: k != KernelScalar}
+	m := op.newMatcher(k)
 	m.SetPattern(qp, threshold)
 	return m
 }
 
-// NewLaneMatcher builds a matcher over the lane-private kernel for
-// pattern-varying probes (joins): call SetPattern before each probe
-// row. The kernel instance is cached on the lane, so re-preparing costs
-// only the sparse mask reset.
-func (op *Operator) NewLaneMatcher(ln *Lane, k Kernel) *BatchMatcher {
+// newMatcher builds a matcher with no pattern yet: call SetPattern
+// before matching. Pattern-varying probes (joins) re-prepare it per
+// probe row, which costs only the kernel's sparse mask reset.
+func (op *Operator) newMatcher(k Kernel) *BatchMatcher {
 	m := &BatchMatcher{op: op, tick: k != KernelScalar}
-	if k != KernelScalar {
-		m.bv = ln.kernel(op)
+	if op.modelKernel(k) != nil {
+		m.bv = op.kpool.Get().(*editdist.Bitvec)
 	}
 	return m
+}
+
+// release hands the matcher's kernel back to the operator's pool once
+// no lane uses the matcher any more; Prepare's sparse reset makes the
+// recycled copy clean for its next pattern. The matcher then verifies on
+// the scalar path only.
+func (m *BatchMatcher) release() {
+	if m.bv != nil {
+		m.op.kpool.Put(m.bv)
+		m.bv, m.ready = nil, false
+	}
 }
 
 // SetPattern re-prepares the matcher for a new query pattern.

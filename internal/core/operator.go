@@ -99,6 +99,13 @@ type Operator struct {
 	weak      float64
 	threshold float64
 
+	// kern is cost compiled for the bit-parallel kernel, nil when the
+	// model does not compile. It is never prepared: batch builders read
+	// only its model-level state (CandSig), and matchers prepare
+	// pattern-state copies taken from kpool.
+	kern  *editdist.Bitvec
+	kpool sync.Pool
+
 	cacheCap int
 	mu       sync.RWMutex
 	cache    map[cacheKey]phoneme.String
@@ -154,6 +161,12 @@ func New(opts Options) (*Operator, error) {
 	}
 	if cap > 0 {
 		op.cache = make(map[cacheKey]phoneme.String)
+	}
+	if op.kern, _ = editdist.NewBitvec(cost); op.kern != nil {
+		op.kpool.New = func() any {
+			bv := *op.kern
+			return &bv
+		}
 	}
 	return op, nil
 }

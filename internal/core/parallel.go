@@ -69,13 +69,6 @@ type Lane struct {
 	Scratch *editdist.Scratch
 	Stats   Stats
 
-	// bv is the lane-private bit-parallel kernel for pattern-varying
-	// probes (joins re-Prepare it per probe row, which mutates kernel
-	// state and so cannot share one instance across lanes). Built on
-	// first use; bvInit caches the "model does not compile" nil too.
-	bv     *editdist.Bitvec
-	bvInit bool
-
 	// batch is the lane-private batch of a storage-fed scan, refilled for
 	// each morsel the lane claims: Verify's shared scalar columns plus
 	// this lane's own phoneme column, or — for VerifyFetched — columns of
@@ -84,17 +77,6 @@ type Lane struct {
 	batch   Batch
 	proj    phoneme.String
 	matches []int
-}
-
-// kernel returns the lane-private bit-parallel kernel, compiling it
-// from the operator's cost model on first use (nil when the model is
-// not bit-parallelizable).
-func (ln *Lane) kernel(op *Operator) *editdist.Bitvec {
-	if !ln.bvInit {
-		ln.bv, _ = editdist.NewBitvec(op.cost)
-		ln.bvInit = true
-	}
-	return ln.bv
 }
 
 func (ln *Lane) harvest() Stats {

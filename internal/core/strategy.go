@@ -357,7 +357,9 @@ func (op *Operator) Verify(qp phoneme.String, threshold float64, n int, src Phon
 		bb.fill(b, &ln.proj, src, lo, hi)
 		return b
 	}
-	out, st := verify(n, fill, nil, op.NewBatchMatcher(qp, threshold, o.kernel), o.workers, nil, admit)
+	pm := op.NewBatchMatcher(qp, threshold, o.kernel)
+	defer pm.release()
+	out, st := verify(n, fill, nil, pm, o.workers, nil, admit)
 	st.BatchesBuilt++
 	return out, st
 }
@@ -381,6 +383,7 @@ func VerifyFetched[T any](op *Operator, qp phoneme.String, threshold float64, mo
 	o := resolveOpts(opts)
 	bb := op.newBatchBuilder(o.kernel, sigQ)
 	pm := op.NewBatchMatcher(qp, threshold, o.kernel)
+	defer pm.release()
 	chunks, st, err := runMorsels(morsels, o.workers, func(ln *Lane, m int) ([]T, error) {
 		return process(m, func(n int, src PhonemeSource) []int {
 			b := &ln.batch
@@ -418,6 +421,7 @@ func (c *Corpus) Select(query Text, threshold float64, langs LangSet, strat Stra
 	}
 	o := resolveOpts(opts)
 	pm := c.op.NewBatchMatcher(qp, threshold, o.kernel)
+	defer pm.release()
 	skip := func(i int) bool {
 		return c.batch.phon.RowLen(i) == 0 || !langs.Contains(c.texts[i].Lang)
 	}
@@ -550,7 +554,8 @@ func Join(left, right *Corpus, threshold float64, requireDifferentLang bool, str
 		return nil, Stats{}, fmt.Errorf("core: unknown strategy %v", strat)
 	}
 	chunks, st := RunMorsels(left.Len(), o.workers, func(ln *Lane, lo, hi int) []Pair {
-		pm := left.op.NewLaneMatcher(ln, kern)
+		pm := left.op.newMatcher(kern)
+		defer pm.release()
 		var out []Pair
 		for l := lo; l < hi; l++ {
 			lp := left.batch.phon.View(l)

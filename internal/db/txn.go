@@ -188,6 +188,11 @@ func (tx *Tx) finish() error {
 // flush.
 func (tx *Tx) CommitNoWait() (uint64, error) {
 	d := tx.d
+	// A database marked unusable (a failed in-place recovery) cannot
+	// vouch for what its caches hold, so nothing more commits.
+	if err := d.usable(); err != nil {
+		return 0, err
+	}
 	d.stmu.Lock()
 	tainted := tx.tainted
 	d.stmu.Unlock()

@@ -394,7 +394,11 @@ func TestEscalateRefusesWhileInUse(t *testing.T) {
 			if _, err := tab.InsertTx(a, crashRow(2)); err != nil {
 				t.Fatal(err)
 			}
-			return func() {}
+			return func() {
+				if err := a.Commit(); err == nil {
+					t.Error("a transaction in flight committed on an unusable database")
+				}
+			}
 		}},
 		{"reader holds the query lock", "while the database is in use", func(t *testing.T, d *DB, tab *Table) func() {
 			d.QueryLock().RLock()

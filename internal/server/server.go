@@ -271,6 +271,9 @@ func (s *Server) handle(conn net.Conn) {
 			s.cfg.Logf("lexequald: rollback on disconnect: %v", err)
 		}
 	}()
+	ex := &executor{sess: sess, queries: &s.queries}
+	ex.start()
+	defer ex.stop()
 
 	r := bufio.NewReader(conn)
 	for {
@@ -295,7 +298,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return
 		}
-		resp := s.execute(sess, stmt)
+		resp := s.execute(ex, stmt)
 		if err := writeFrame(conn, resp); err != nil {
 			s.cfg.Logf("lexequald: write: %v", err)
 			return
@@ -306,39 +309,73 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// outcome is what one statement returned.
+type outcome struct {
+	res *sql.Result
+	err error
+}
+
+// executor runs a connection's statements on one long-lived goroutine;
+// a goroutine per statement would regrow its stack on every query. A
+// statement that misses its deadline keeps the goroutine until it
+// finishes, and the connection moves on to a fresh one, whose first
+// statement queues behind it on the session mutex. Only the
+// connection's handler touches the fields.
+type executor struct {
+	sess    *sql.Session
+	queries *sync.WaitGroup // counts every statement sent, abandoned ones too
+	stmts   chan string
+	done    chan outcome // capacity 1: an abandoned statement never blocks on it
+}
+
+// start runs a new executor goroutine; it exits once stmts is closed.
+func (ex *executor) start() {
+	stmts, done := make(chan string), make(chan outcome, 1)
+	ex.stmts, ex.done = stmts, done
+	go func() {
+		for stmt := range stmts {
+			res, err := ex.sess.Exec(stmt)
+			done <- outcome{res, err}
+			ex.queries.Done()
+		}
+	}()
+}
+
+// stop lets the goroutine exit once its statement (if any) finishes.
+func (ex *executor) stop() { close(ex.stmts) }
+
+// abandon leaves the running statement to finish in the background on
+// its goroutine and starts a fresh one for the next statement.
+func (ex *executor) abandon() {
+	ex.stop()
+	ex.start()
+}
+
 // execute runs one request payload and renders the response frame.
-func (s *Server) execute(sess *sql.Session, stmt string) []byte {
+func (s *Server) execute(ex *executor, stmt string) []byte {
 	if IsAdminStatus(stmt) {
-		return okPayload(s.status(sess))
-	}
-	type outcome struct {
-		res *sql.Result
-		err error
+		return okPayload(s.status(ex.sess))
 	}
 	start := time.Now()
-	ch := make(chan outcome, 1)
 	s.queries.Add(1)
-	go func() {
-		defer s.queries.Done()
-		res, err := sess.Exec(stmt)
-		ch <- outcome{res, err}
-	}()
+	ex.stmts <- stmt
 	var out outcome
 	if s.cfg.QueryTimeout > 0 {
 		t := time.NewTimer(s.cfg.QueryTimeout)
 		select {
-		case out = <-ch:
+		case out = <-ex.done:
 			t.Stop()
 		case <-t.C:
 			// The plan cannot be cancelled mid-flight; it finishes in
 			// the background (s.queries keeps the drain honest) and the
 			// session mutex holds this connection's next statement back
 			// until then.
+			ex.abandon()
 			s.cfg.Logf("lexequald: query exceeded deadline %v: %s", s.cfg.QueryTimeout, stmt)
 			return errPayload(fmt.Errorf("server: query exceeded deadline %v", s.cfg.QueryTimeout))
 		}
 	} else {
-		out = <-ch
+		out = <-ex.done
 	}
 	if d := time.Since(start); s.cfg.SlowQuery > 0 && d >= s.cfg.SlowQuery {
 		s.cfg.Logf("lexequald: slow query (%v): %s", d, stmt)

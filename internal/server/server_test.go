@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -181,6 +182,48 @@ func TestQueryDeadline(t *testing.T) {
 	// queues behind it and succeeds.
 	if _, err := c.Query(`SELECT COUNT(*) FROM Books`); err != nil {
 		t.Fatalf("connection dead after deadline: %v", err)
+	}
+}
+
+// TestExecutorsExitWithTheirConnections: each connection runs its
+// statements on one executor goroutine, started with the connection and
+// gone once it closes — also the one a statement past its deadline was
+// left running on. 50 connect/query/close cycles, one of them with a
+// statement that misses its deadline, return the goroutine count to its
+// baseline.
+func TestExecutorsExitWithTheirConnections(t *testing.T) {
+	dir := t.TempDir()
+	seedBooks(t, dir)
+	srv, d := startServer(t, dir, Config{QueryTimeout: 100 * time.Millisecond, Logf: t.Logf})
+	goroutines := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		c, err := Dial(srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 25 {
+			l := d.QueryLock()
+			l.Lock()
+			_, err := c.Query(`SELECT COUNT(*) FROM Books`)
+			l.Unlock()
+			var re *RemoteError
+			if !errors.As(err, &re) || !strings.Contains(re.Msg, "deadline") {
+				t.Fatalf("cycle %d: expected a deadline error, got %v", i, err)
+			}
+		}
+		if _, err := c.Query(`SELECT COUNT(*) FROM Books`); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		c.Close()
+	}
+	// A handler sees its client's close only on its next read; give
+	// exiting goroutines a moment, a leaked one never leaves.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > goroutines && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > goroutines {
+		t.Errorf("%d goroutines after 50 closed connections, %d before", n, goroutines)
 	}
 }
 

@@ -373,6 +373,63 @@ func TestPagerCloseWaitsForInflightRead(t *testing.T) {
 	}
 }
 
+// TestPagerCountsMissWithItsRead: a miss and its read are one event in
+// Stats. While a miss is held mid-read neither is counted; once it
+// publishes both have risen by one; a read that fails counts the miss
+// and no read. A counter snapshot taken around another goroutine's load
+// therefore never sees reads and misses disagree.
+func TestPagerCountsMissWithItsRead(t *testing.T) {
+	fs := &gateFS{}
+	pg, err := OpenPagerFS(pagedFile(t, 4), 4, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Close()
+	counts := func() (reads, misses uint64) {
+		reads, _, _, misses = pg.Stats()
+		return reads, misses
+	}
+	r0, m0 := counts()
+	if r0 != m0 {
+		t.Fatalf("at open: %d reads for %d misses", r0, m0)
+	}
+
+	before, entered, release := holdReads(2)
+	fs.arm(before, nil)
+	got := make(chan getResult, 1)
+	go func() {
+		p, err := pg.Get(2)
+		got <- getResult{p, err}
+	}()
+	<-entered
+	if r, m := counts(); r != r0 || m != m0 {
+		t.Errorf("with the miss held mid-read: %d reads, %d misses; want %d and %d", r, m, r0, m0)
+	}
+	close(release)
+	res := <-got
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	pg.Unpin(res.p)
+	if r, m := counts(); r != r0+1 || m != m0+1 {
+		t.Errorf("after the read published: %d reads, %d misses; want %d and %d", r, m, r0+1, m0+1)
+	}
+
+	ioErr := errors.New("injected read error")
+	fs.arm(func(off int64) error {
+		if off == 3*PageSize {
+			return ioErr
+		}
+		return nil
+	}, nil)
+	if _, err := pg.Get(3); !errors.Is(err, ioErr) {
+		t.Fatalf("Get with a failing read: %v", err)
+	}
+	if r, m := counts(); r != r0+1 || m != m0+2 {
+		t.Errorf("after a failed read: %d reads, %d misses; want %d and %d", r, m, r0+1, m0+2)
+	}
+}
+
 // TestPageCRCMatchesReference: pageCRC feeds the page number through the
 // Castagnoli table by hand; it must equal crc32 over the payload, the
 // page number's little-endian bytes and the pageLSN.

@@ -302,7 +302,6 @@ func (pg *Pager) getLocked(id PageID) (p *Page, miss bool, err error) {
 		}
 		return p, false, nil
 	}
-	pg.misses++
 	if p, err = pg.fault(id); err != nil {
 		return nil, false, err
 	}
@@ -339,8 +338,12 @@ func (pg *Pager) load(p *Page) (lsn uint64, read bool, err error) {
 }
 
 // publishLocked ends p's load and wakes its waiters: on success the
-// frame holds the page, on failure it leaves the cache.
+// frame holds the page, on failure it leaves the cache. The miss and its
+// read are counted here together, under one latch hold, so a Stats
+// snapshot taken while another goroutine's read is in flight never sees
+// one without the other; a read that failed counts a miss and no read.
 func (pg *Pager) publishLocked(p *Page, lsn uint64, read bool, err error) {
+	pg.misses++
 	if read {
 		pg.reads++
 	}
