@@ -6,6 +6,31 @@ import (
 	"lexequal/internal/script"
 )
 
+// FuzzSeeds is the seed corpus of FuzzTTPConvert; the Indic golden test
+// (package ttp_test) pins the Hindi and Tamil conversion of each text.
+var FuzzSeeds = []struct {
+	Text string
+	Idx  byte
+}{
+	{"Nehru", 0},
+	{"नेहरु", 1},
+	{"நேரு", 2},
+	{"Σαρρη", 3},
+	{"Muñoz", 4},
+	{"Descartes", 5},
+	{"بهنسي", 6},
+	{"", 0},
+	{"नेहरुNehruநேரு", 1}, // mixed scripts
+	{"\xff\xfe\xfd", 2},   // invalid UTF-8
+	{"\xe0\xa4", 1},       // truncated Devanagari rune
+	{"123 !@#\x00\t", 0},  // symbols, NUL, control chars
+	{"्््", 1},            // bare Devanagari viramas
+	{"்", 2},              // bare Tamil virama
+	{"ψ́ͅ", 3},            // stacked Greek diacritics
+	{"ñññññ", 4},
+	{"eaux", 5},
+}
+
 // FuzzTTPConvert asserts the text-to-phoneme converters never panic:
 // any input — invalid UTF-8, mixed scripts, symbols, the wrong script
 // for the language — must produce a phoneme string, an ordinary error,
@@ -17,30 +42,8 @@ func FuzzTTPConvert(f *testing.F) {
 		script.Greek, script.Spanish, script.French,
 		script.Arabic, // NORESOURCE in the default registry
 	}
-	seeds := []struct {
-		text string
-		idx  byte
-	}{
-		{"Nehru", 0},
-		{"नेहरु", 1},
-		{"நேரு", 2},
-		{"Σαρρη", 3},
-		{"Muñoz", 4},
-		{"Descartes", 5},
-		{"بهنسي", 6},
-		{"", 0},
-		{"नेहरुNehruநேரு", 1},        // mixed scripts
-		{"\xff\xfe\xfd", 2},         // invalid UTF-8
-		{"\xe0\xa4", 1},             // truncated Devanagari rune
-		{"123 !@#\x00\t", 0},        // symbols, NUL, control chars
-		{"्््", 1},   // bare Devanagari viramas
-		{"்", 2},               // bare Tamil virama
-		{"ψ́ͅ", 3},   // stacked Greek diacritics
-		{"ñññññ", 4},
-		{"eaux", 5},
-	}
-	for _, s := range seeds {
-		f.Add(s.text, s.idx)
+	for _, s := range FuzzSeeds {
+		f.Add(s.Text, s.Idx)
 	}
 	reg := Default()
 	f.Fuzz(func(t *testing.T, text string, langIdx byte) {
