@@ -1,12 +1,12 @@
 # Developer entry points. `make ci` is what a pipeline should run:
-# static checks (go vet plus the engine-invariant lint suite), build,
+# static checks (gofmt, go vet, the engine-invariant lint suite), build,
 # the full test suite under the race detector, and a short smoke run of
 # each fuzz target.
 
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lockgraph test race fuzz-smoke bench bench-smoke bench-module bench-traced perf-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
+.PHONY: all build vet fmt-check lint lint-json lockgraph test race fuzz-smoke bench bench-smoke bench-module bench-traced perf-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
 
 all: build
 
@@ -15,6 +15,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file in the tree (bench/ included) is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # The custom go/analysis suite (DESIGN.md §8, §13): the per-package AST
 # tier (VFS-only I/O, wrap-tolerant error matching, no panics in
@@ -129,7 +133,7 @@ mvcc-smoke:
 	$(GO) test -race -count=1 -run 'TestMVCCSmoke|TestSelectNeverBlocksBehindWriter|TestWriteWriteConflictAbortsAndRetries' ./internal/sql/
 	$(GO) test -race -count=1 -run 'TestMVCC' ./internal/db/
 
-ci: vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke bench-module perf-smoke bench-traced
+ci: fmt-check vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke bench-module perf-smoke bench-traced
 
 clean:
 	$(GO) clean ./...

@@ -49,7 +49,7 @@ var keywords = map[string]bool{
 	"CREATE": true, "TABLE": true, "INDEX": true, "ON": true, "DROP": true,
 	"INSERT": true, "INTO": true, "VALUES": true, "SET": true, "SHOW": true,
 	"DELETE": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "TRANSACTION": true, "CHECKPOINT": true,
+	"BEGIN":  true, "COMMIT": true, "ROLLBACK": true, "TRANSACTION": true, "CHECKPOINT": true,
 	"TABLES": true, "INDEXES": true, "LEXSTATS": true, "EXPLAIN": true, "NULL": true,
 	"LEXEQUAL": true, "THRESHOLD": true, "INLANGUAGES": true, "LANG": true,
 	"COUNT": true, "MIN": true, "MAX": true, "SUM": true, "DISTINCT": true,
