@@ -1,9 +1,11 @@
 // Package script provides the writing-system layer of the reproduction:
 // language identifiers, Unicode script detection (the paper's §2.1 notes
 // that language identification from character blocks is approximate —
-// GuessLanguage implements exactly that heuristic), and the
-// phoneme-to-orthography renderers used to synthesize the Hindi and
-// Tamil sides of the tagged multiscript lexicon.
+// GuessLanguage implements exactly that heuristic), and the abugida
+// tables of Devanagari and Tamil: one row per letter, read letter to
+// phoneme by the Hindi and Tamil TTP converters and phoneme to letter
+// by the renderers that synthesize the Indic sides of the tagged
+// multiscript lexicon.
 package script
 
 import (
@@ -88,9 +90,9 @@ func runeScript(r rune) Script {
 	switch {
 	case unicode.Is(unicode.Latin, r):
 		return Latin
-	case r >= 0x0900 && r <= 0x097F:
+	case DevanagariAbugida.In(r):
 		return Devanagari
-	case r >= 0x0B80 && r <= 0x0BFF:
+	case TamilAbugida.In(r):
 		return TamilScript
 	case unicode.Is(unicode.Greek, r):
 		return GreekScript

@@ -151,16 +151,22 @@ func TestRenderEmpty(t *testing.T) {
 }
 
 func TestEveryVowelHasMatraAndIndependent(t *testing.T) {
-	for _, r := range []*indicRenderer{devanagariRenderer, tamilRenderer} {
+	for _, a := range []*Abugida{DevanagariAbugida, TamilAbugida} {
+		inherent := 0
+		for _, v := range a.Vowels {
+			if v.Letter == 0 {
+				t.Errorf("%v: vowel row %q has no independent letter", a.Script, v.Reads)
+			}
+			if v.Matra == 0 {
+				inherent++
+			}
+		}
+		if inherent != 1 {
+			t.Errorf("%v: %d vowel rows without a matra, want the inherent vowel only", a.Script, inherent)
+		}
 		for _, p := range phoneme.All() {
-			if !p.IsVowel() {
-				continue
-			}
-			if _, ok := r.independent[p]; !ok {
-				t.Errorf("renderer missing independent form for %s", p.IPA())
-			}
-			if _, ok := r.matra[p]; !ok {
-				t.Errorf("renderer missing matra for %s", p.IPA())
+			if _, ok := a.vowels[p]; p.IsVowel() && !ok {
+				t.Errorf("%v: no vowel row renders %s", a.Script, p.IPA())
 			}
 		}
 	}

@@ -1,27 +1,21 @@
 package ttp
 
 import (
-	"fmt"
-
 	"lexequal/internal/phoneme"
 	"lexequal/internal/script"
 )
 
 // NewHindi returns the Hindi Text-To-Phoneme converter. Devanagari is a
 // phonetically-spelled abugida, so conversion is a direct decomposition
-// of the orthography — consonant letters carry an inherent schwa unless
-// a dependent vowel sign (matra) or virama follows — plus Hindi's one
-// nontrivial phonological process, schwa deletion: the inherent schwa is
-// dropped word-finally and in the medial VC_CV context. This mirrors the
-// behaviour of the Dhvani converter the paper used.
+// of the orthography (script.DevanagariAbugida) — consonant letters
+// carry an inherent schwa unless a dependent vowel sign (matra) or
+// virama follows — plus Hindi's one nontrivial phonological process,
+// schwa deletion: the inherent schwa is dropped word-finally and in the
+// medial VC_CV context. This mirrors the behaviour of the Dhvani
+// converter the paper used.
 func NewHindi() Converter {
-	return &hindiConverter{}
+	return &abugidaConverter{lang: script.Hindi, table: script.DevanagariAbugida, phonology: hindiPhonology}
 }
-
-type hindiConverter struct{}
-
-// Language implements Converter.
-func (h *hindiConverter) Language() script.Language { return script.Hindi }
 
 // hindiSegment is one phoneme plus the bookkeeping needed by the schwa
 // deletion pass.
@@ -30,176 +24,28 @@ type hindiSegment struct {
 	inherent bool // an inherent schwa (deletable); explicit vowels are not
 }
 
-var (
-	devaConsonants map[rune]phoneme.String
-	devaVowels     map[rune]phoneme.String // independent vowel letters
-	devaMatras     map[rune]phoneme.String // dependent vowel signs
-	devaNukta      map[rune]rune           // base letter -> nukta variant
-)
-
-func init() {
-	c := func(m map[string]string) map[rune]phoneme.String {
-		out := make(map[rune]phoneme.String, len(m))
-		for k, v := range m {
-			rs := []rune(k)
-			if len(rs) != 1 {
-				panic("ttp: devanagari table key must be one rune: " + k)
-			}
-			out[rs[0]] = phoneme.MustParse(v)
-		}
-		return out
-	}
-	devaConsonants = c(map[string]string{
-		"क": "k", "ख": "kʰ", "ग": "ɡ", "घ": "ɡʱ", "ङ": "ŋ",
-		"च": "tʃ", "छ": "tʃʰ", "ज": "dʒ", "झ": "dʒʱ", "ञ": "ɲ",
-		"ट": "ʈ", "ठ": "ʈʰ", "ड": "ɖ", "ढ": "ɖʱ", "ण": "ɳ",
-		"त": "t̪", "थ": "tʰ", "द": "d̪", "ध": "dʱ", "न": "n",
-		"प": "p", "फ": "pʰ", "ब": "b", "भ": "bʱ", "म": "m",
-		"य": "j", "र": "r", "ल": "l", "व": "ʋ", "ळ": "ɭ",
-		"श": "ʃ", "ष": "ʂ", "स": "s", "ह": "ɦ",
-		// Nukta (Perso-Arabic loan) letters, precomposed forms
-		// (U+0958..U+095E; source text in decomposed form is folded by
-		// normalizeNukta below).
-		"क़": "q", "ख़": "x", "ग़": "ɣ", "ज़": "z",
-		"ड़": "ɽ", "ढ़": "ɽ", "फ़": "f",
-	})
-	devaVowels = c(map[string]string{
-		"अ": "ə", "आ": "aː", "इ": "ɪ", "ई": "iː", "उ": "ʊ", "ऊ": "uː",
-		"ऋ": "rɪ", "ए": "eː", "ऐ": "ɛː", "ओ": "oː", "औ": "ɔː", "ऑ": "ɒ", "ऍ": "æ",
-	})
-	devaMatras = c(map[string]string{
-		"ा": "aː", "ि": "ɪ", "ी": "iː", "ु": "ʊ", "ू": "uː",
-		"ृ": "rɪ", "े": "eː", "ै": "ɛː", "ो": "oː", "ौ": "ɔː", "ॉ": "ɒ", "ॅ": "æ",
-	})
-	// Combining-nukta normalization: base + U+093C -> precomposed.
-	devaNukta = map[rune]rune{
-		'क': 'क़', 'ख': 'ख़', 'ग': 'ग़', 'ज': 'ज़',
-		'ड': 'ड़', 'ढ': 'ढ़', 'फ': 'फ़',
-	}
-}
-
-const (
-	virama      = '्'
-	anusvara    = 'ं'
-	candrabindu = 'ँ'
-	visarga     = 'ः'
-	nuktaSign   = '़'
-)
-
-// Convert implements Converter.
-func (h *hindiConverter) Convert(text string) (phoneme.String, error) {
-	runes := normalizeNukta([]rune(text))
-	var out phoneme.String
-	word := make([]rune, 0, 32)
-	sawLetter := false
-	flush := func() {
-		if len(word) > 0 {
-			out = append(out, convertHindiWord(word)...)
-			word = word[:0]
-		}
-	}
-	for _, r := range runes {
-		if isDevaRune(r) {
-			word = append(word, r)
-			sawLetter = true
-		} else {
-			flush()
-		}
-	}
-	flush()
-	if !sawLetter {
-		return nil, fmt.Errorf("ttp: hindi converter: no devanagari characters in %q", text)
-	}
-	return out, nil
-}
-
-func isDevaRune(r rune) bool {
-	if _, ok := devaConsonants[r]; ok {
-		return true
-	}
-	if _, ok := devaVowels[r]; ok {
-		return true
-	}
-	if _, ok := devaMatras[r]; ok {
-		return true
-	}
-	switch r {
-	case virama, anusvara, candrabindu, visarga, nuktaSign:
-		return true
-	}
-	return r >= 0x0900 && r <= 0x097F
-}
-
-// normalizeNukta folds base-letter + combining-nukta sequences into the
-// precomposed nukta letters the consonant table uses.
-func normalizeNukta(rs []rune) []rune {
-	out := rs[:0:0]
-	for i := 0; i < len(rs); i++ {
-		if i+1 < len(rs) && rs[i+1] == nuktaSign {
-			if folded, ok := devaNukta[rs[i]]; ok {
-				out = append(out, folded)
-				i++
-				continue
-			}
-		}
-		out = append(out, rs[i])
-	}
-	return out
-}
-
-// convertHindiWord decomposes one Devanagari word and applies schwa
-// deletion.
-func convertHindiWord(w []rune) phoneme.String {
+// hindiPhonology reads one word's units: consonants and vowels as
+// written, visarga as ɦ, anusvara and candrabindu as the nasal
+// homorganic with the next consonant; then it deletes schwas.
+func hindiPhonology(us []unit) phoneme.String {
 	var segs []hindiSegment
-	appendPh := func(ps phoneme.String, inherent bool) {
-		for _, p := range ps {
-			segs = append(segs, hindiSegment{p: p, inherent: inherent && p == phoneme.Schwa})
-		}
-	}
-	pendingCons := phoneme.String(nil) // consonant awaiting vowel decision
-	flushInherent := func() {
-		if pendingCons != nil {
-			appendPh(pendingCons, false)
-			appendPh(phoneme.String{phoneme.Schwa}, true)
-			pendingCons = nil
-		}
-	}
-	for i := 0; i < len(w); i++ {
-		r := w[i]
-		if ps, ok := devaConsonants[r]; ok {
-			flushInherent()
-			pendingCons = ps
-			continue
-		}
-		if ps, ok := devaMatras[r]; ok {
-			if pendingCons != nil {
-				appendPh(pendingCons, false)
-				pendingCons = nil
-			}
-			appendPh(ps, false)
-			continue
-		}
-		if ps, ok := devaVowels[r]; ok {
-			flushInherent()
-			appendPh(ps, false)
-			continue
-		}
-		switch r {
-		case virama:
-			// Kill the inherent vowel: consonant joins a cluster.
-			if pendingCons != nil {
-				appendPh(pendingCons, false)
-				pendingCons = nil
-			}
-		case anusvara, candrabindu:
-			flushInherent()
-			segs = append(segs, hindiSegment{p: anusvaraPhoneme(w, i)})
-		case visarga:
-			flushInherent()
+	for i, u := range us {
+		switch {
+		case u.letter == script.DevanagariAbugida.Visarga:
 			segs = append(segs, hindiSegment{p: phoneme.MustLookup("ɦ")})
+			continue
+		case u.g.Kind == script.SignGlyph:
+			segs = append(segs, hindiSegment{p: anusvaraPhoneme(us[i+1:])})
+			continue
+		case u.g.Kind == script.ConsonantGlyph:
+			for _, p := range u.g.Reads {
+				segs = append(segs, hindiSegment{p: p})
+			}
+		}
+		for _, p := range u.vowel {
+			segs = append(segs, hindiSegment{p: p, inherent: u.inherent && p == phoneme.Schwa})
 		}
 	}
-	flushInherent()
 	segs = deleteSchwas(segs)
 	out := make(phoneme.String, len(segs))
 	for i, s := range segs {
@@ -208,23 +54,24 @@ func convertHindiWord(w []rune) phoneme.String {
 	return out
 }
 
-// anusvaraPhoneme resolves ं to the nasal homorganic with the following
+// anusvaraPhoneme resolves ं to the nasal homorganic with the next
 // consonant (ŋ before velars, m before labials, n otherwise).
-func anusvaraPhoneme(w []rune, i int) phoneme.Phoneme {
-	for j := i + 1; j < len(w); j++ {
-		if ps, ok := devaConsonants[w[j]]; ok && len(ps) > 0 {
-			switch ps[0].Features().Place {
-			case phoneme.Velar:
-				return phoneme.MustLookup("ŋ")
-			case phoneme.Bilabial, phoneme.Labiodental:
-				return phoneme.MustLookup("m")
-			case phoneme.Retroflex:
-				return phoneme.MustLookup("ɳ")
-			case phoneme.Palatal, phoneme.PostAlveolar:
-				return phoneme.MustLookup("ɲ")
-			}
-			return phoneme.MustLookup("n")
+func anusvaraPhoneme(next []unit) phoneme.Phoneme {
+	for _, u := range next {
+		if u.g.Kind != script.ConsonantGlyph {
+			continue
 		}
+		switch u.g.Reads[0].Features().Place {
+		case phoneme.Velar:
+			return phoneme.MustLookup("ŋ")
+		case phoneme.Bilabial, phoneme.Labiodental:
+			return phoneme.MustLookup("m")
+		case phoneme.Retroflex:
+			return phoneme.MustLookup("ɳ")
+		case phoneme.Palatal, phoneme.PostAlveolar:
+			return phoneme.MustLookup("ɲ")
+		}
+		return phoneme.MustLookup("n")
 	}
 	return phoneme.MustLookup("n")
 }

@@ -1,8 +1,6 @@
 package ttp
 
 import (
-	"fmt"
-
 	"lexequal/internal/phoneme"
 	"lexequal/internal/script"
 )
@@ -16,151 +14,34 @@ import (
 // the paper's experiments exercise (the paper hand-converted its Tamil
 // strings "assuming phonetic nature of the Tamil language").
 func NewTamil() Converter {
-	return &tamilConverter{}
+	return &abugidaConverter{lang: script.Tamil, table: script.TamilAbugida, phonology: tamilPhonology}
 }
 
-type tamilConverter struct{}
-
-// Language implements Converter.
-func (t *tamilConverter) Language() script.Language { return script.Tamil }
-
-// tamilStop describes the contextual realizations of one stop letter.
-type tamilStop struct {
-	voiceless phoneme.String // word-initial / geminate realization
-	voiced    phoneme.String // post-nasal realization
-	medial    phoneme.String // intervocalic realization
-}
-
-var (
-	tamilStops      map[rune]tamilStop
-	tamilSonorants  map[rune]phoneme.String // nasals, liquids, glides, grantha
-	tamilIndepVowel map[rune]phoneme.String
-	tamilMatra      map[rune]phoneme.String
-)
-
-const (
-	tamilPulli  = '்'
-	tamilAytham = 'ஃ'
-)
-
-func init() {
-	p := phoneme.MustParse
-	tamilStops = map[rune]tamilStop{
-		'க': {p("k"), p("ɡ"), p("ɡ")},
-		'ச': {p("tʃ"), p("dʒ"), p("s")}, // intervocalic ச is [s]
-		'ட': {p("ʈ"), p("ɖ"), p("ɖ")},
-		'த': {p("t̪"), p("d̪"), p("d̪")},
-		'ப': {p("p"), p("b"), p("b")},
-		'ற': {p("r"), p("r"), p("r")}, // ற்ற = ttr historically; modern trill
-	}
-	one := func(m map[string]string) map[rune]phoneme.String {
-		out := make(map[rune]phoneme.String, len(m))
-		for k, v := range m {
-			rs := []rune(k)
-			if len(rs) != 1 {
-				panic("ttp: tamil table key must be one rune: " + k)
-			}
-			out[rs[0]] = phoneme.MustParse(v)
-		}
-		return out
-	}
-	tamilSonorants = one(map[string]string{
-		"ங": "ŋ", "ஞ": "ɲ", "ண": "ɳ", "ந": "n", "ன": "n", "ம": "m",
-		"ய": "j", "ர": "ɾ", "ல": "l", "ள": "ɭ", "ழ": "ɻ", "வ": "ʋ",
-		// Grantha letters for loan sounds.
-		"ஜ": "dʒ", "ஷ": "ʂ", "ஸ": "s", "ஹ": "ɦ",
-	})
-	tamilIndepVowel = one(map[string]string{
-		"அ": "a", "ஆ": "aː", "இ": "i", "ஈ": "iː", "உ": "u", "ஊ": "uː",
-		"எ": "e", "ஏ": "eː", "ஐ": "ai", "ஒ": "o", "ஓ": "oː", "ஔ": "au",
-	})
-	tamilMatra = one(map[string]string{
-		"ா": "aː", "ி": "i", "ீ": "iː", "ு": "u", "ூ": "uː",
-		"ெ": "e", "ே": "eː", "ை": "ai", "ொ": "o", "ோ": "oː", "ௌ": "au",
-	})
-}
-
-// tamilUnit is one orthographic unit: a consonant letter with either a
-// vowel (inherent or matra) or a pulli, or a bare vowel letter.
-type tamilUnit struct {
-	cons  rune           // 0 when the unit is a bare vowel
-	vowel phoneme.String // nil when the consonant carries a pulli
-}
-
-// Convert implements Converter.
-func (t *tamilConverter) Convert(text string) (phoneme.String, error) {
-	var out phoneme.String
-	word := make([]rune, 0, 32)
-	sawLetter := false
-	flush := func() {
-		if len(word) > 0 {
-			out = append(out, convertTamilWord(word)...)
-			word = word[:0]
+// tamilPhonology reads one word's units with positional voicing for
+// stops (the letters whose table row gives voiced and intervocalic
+// readings); a doubled stop degeminates to one voiceless stop.
+func tamilPhonology(units []unit) phoneme.String {
+	// A matra or pulli with no consonant of its own re-marks the
+	// consonant before it, and is dropped after a vowel.
+	us := units[:0]
+	for _, u := range units {
+		if u.g.Kind != script.MarkGlyph {
+			us = append(us, u)
+		} else if n := len(us); n > 0 && us[n-1].g.Kind == script.ConsonantGlyph {
+			us[n-1].vowel = u.vowel
 		}
 	}
-	for _, r := range text {
-		if isTamilRune(r) {
-			word = append(word, r)
-			sawLetter = true
-		} else {
-			flush()
-		}
-	}
-	flush()
-	if !sawLetter {
-		return nil, fmt.Errorf("ttp: tamil converter: no tamil characters in %q", text)
-	}
-	return out, nil
-}
-
-func isTamilRune(r rune) bool { return r >= 0x0B80 && r <= 0x0BFF }
-
-func convertTamilWord(w []rune) phoneme.String {
-	// Pass 1: group into orthographic units.
-	var units []tamilUnit
-	inherent := phoneme.MustParse("a")
-	for i := 0; i < len(w); i++ {
-		r := w[i]
-		if _, isStop := tamilStops[r]; isStop {
-			units = append(units, tamilUnit{cons: r, vowel: inherent})
-			continue
-		}
-		if _, isSon := tamilSonorants[r]; isSon {
-			units = append(units, tamilUnit{cons: r, vowel: inherent})
-			continue
-		}
-		if v, ok := tamilIndepVowel[r]; ok {
-			units = append(units, tamilUnit{vowel: v})
-			continue
-		}
-		if v, ok := tamilMatra[r]; ok {
-			if len(units) > 0 && units[len(units)-1].cons != 0 {
-				units[len(units)-1].vowel = v
-			}
-			continue
-		}
-		if r == tamilPulli {
-			if len(units) > 0 && units[len(units)-1].cons != 0 {
-				units[len(units)-1].vowel = nil
-			}
-			continue
-		}
-		// Aytham and anything else: skipped (ஃ only occurs in loan
-		// digraphs like ஃப for f, which we approximate as p + f-less).
-	}
-
-	// Pass 2: emit phonemes with positional voicing for stops.
 	var out phoneme.String
 	prevVowel := false // previous emitted phoneme is a vowel
 	prevNasal := false
-	for i, u := range units {
-		if u.cons == 0 {
+	for i, u := range us {
+		if u.g.Kind != script.ConsonantGlyph {
 			out = append(out, u.vowel...)
 			prevVowel, prevNasal = true, false
 			continue
 		}
-		if st, isStop := tamilStops[u.cons]; isStop {
-			geminate := i+1 < len(units) && units[i+1].cons == u.cons && u.vowel == nil
+		if u.g.Voiced != nil {
+			geminate := i+1 < len(us) && us[i+1].letter == u.letter && u.vowel == nil
 			var ph phoneme.String
 			switch {
 			case geminate:
@@ -168,29 +49,28 @@ func convertTamilWord(w []rune) phoneme.String {
 				// voiceless stop, emitted by the second half.
 				ph = nil
 			case i == 0:
-				ph = st.voiceless
-			case units[i-1].cons == u.cons && units[i-1].vowel == nil:
+				ph = u.g.Reads
+			case us[i-1].letter == u.letter && us[i-1].vowel == nil:
 				// Second half of a geminate: voiceless.
-				ph = st.voiceless
+				ph = u.g.Reads
 			case prevNasal:
-				ph = st.voiced
+				ph = u.g.Voiced
 			case u.vowel == nil:
 				// Syllable coda (pulli before a different consonant).
-				ph = st.voiceless
+				ph = u.g.Reads
 			case prevVowel:
-				ph = st.medial
+				ph = u.g.Intervocalic
 			default:
-				ph = st.voiceless
+				ph = u.g.Reads
 			}
 			out = append(out, ph...)
 			if len(ph) > 0 {
 				prevVowel, prevNasal = false, false
 			}
 		} else {
-			ph := tamilSonorants[u.cons]
+			ph := u.g.Reads
 			out = append(out, ph...)
-			f := ph[len(ph)-1].Features()
-			prevNasal = f.Manner == phoneme.Nasal
+			prevNasal = ph[len(ph)-1].Features().Manner == phoneme.Nasal
 			prevVowel = false
 		}
 		if u.vowel != nil {

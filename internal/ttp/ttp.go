@@ -8,8 +8,10 @@
 // equivalent converters from scratch: a contextual rewrite-rule engine
 // drives the Latin-script and Greek converters (in the tradition of the
 // NRL letter-to-sound rules), while the Indic converters decompose the
-// phonetically-spelled orthography directly, applying each language's
-// phonology (Hindi schwa deletion, Tamil stop voicing).
+// phonetically-spelled orthography directly: one walker reads each
+// script's letter table (script.Abugida, the same table the lexicon's
+// renderers read) and groups a word into units, and each language's
+// phonology reads the units (Hindi schwa deletion, Tamil stop voicing).
 //
 // Converter output is normalized per the paper's §4.1: suprasegmentals,
 // tones and accents are never emitted, so phoneme strings are directly
