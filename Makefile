@@ -6,7 +6,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check lint lint-json lockgraph test race fuzz-smoke bench bench-smoke bench-module bench-traced perf-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
+.PHONY: all build vet fmt-check lint lint-json lockgraph test race fuzz-smoke bench bench-smoke bench-module bench-traced perf-smoke dataset-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
 
 all: build
 
@@ -90,6 +90,16 @@ perf-smoke:
 	@dir=$$(mktemp -d) && $(GO) run ./cmd/perf -dir $$dir -rows 20000 -table 2 -queries 3; \
 	status=$$?; rm -rf $$dir; exit $$status
 
+# The 10k-row mkdataset load into a throwaway directory (DESIGN.md §4b):
+# perf.db must pass `lexequal check -wal` and hold at most 5,600,000
+# bytes — the names table and its three indexes, no staging heap.
+dataset-smoke:
+	@dir=$$(mktemp -d) && $(GO) run ./cmd/mkdataset -out $$dir -rows 10000 >/dev/null && \
+	size=$$(cat $$dir/perf.db/* | wc -c) && echo "perf.db: $$size bytes" && \
+	{ [ $$size -le 5600000 ] || { echo "perf.db exceeds 5600000 bytes"; false; }; } && \
+	$(GO) run ./cmd/lexequal check -wal $$dir/perf.db; \
+	status=$$?; rm -rf $$dir; exit $$status
+
 # Run each native fuzz target briefly; a regression in either parser
 # robustness, TTP conversion, WAL replay, kernel equivalence, the IPA
 # tokenizer (trie vs the substring-map reference) or the gram posting
@@ -133,7 +143,7 @@ mvcc-smoke:
 	$(GO) test -race -count=1 -run 'TestMVCCSmoke|TestSelectNeverBlocksBehindWriter|TestWriteWriteConflictAbortsAndRetries' ./internal/sql/
 	$(GO) test -race -count=1 -run 'TestMVCC' ./internal/db/
 
-ci: fmt-check vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke bench-module perf-smoke bench-traced
+ci: fmt-check vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke bench-module perf-smoke dataset-smoke bench-traced
 
 clean:
 	$(GO) clean ./...

@@ -1,8 +1,10 @@
 // Command mkdataset builds the paper's two evaluation datasets: the
 // tagged multiscript lexicon (§4.1) written as a TSV, and the large
-// synthetic set (§5) loaded into an embedded database directory with
-// the auxiliary q-gram table and the phonetic index, ready for
-// cmd/perf.
+// synthetic set (§5) loaded into an embedded database directory: the
+// names table with its id index, its phonetic index and its gram index
+// (the q-gram postings of Figure 14), ready for cmd/perf. Directories
+// written by builds that kept the q-gram postings in a names_qgrams
+// table do not open any more; rerun mkdataset to reload them.
 //
 // Usage:
 //
@@ -82,7 +84,7 @@ func run(out string, rows int, perf, quality bool) error {
 		fmt.Printf("  %d entries; avg lengths %.2f (lexicographic) / %.2f (phonemic)\n",
 			len(gen), glh.Mean(), gph.Mean())
 		dir := filepath.Join(out, "perf.db")
-		fmt.Println("loading performance database at", dir, "(heap + q-grams + indexes)...")
+		fmt.Println("loading performance database at", dir, "(heap + indexes + gram index)...")
 		start := time.Now()
 		texts := make([]core.Text, len(gen))
 		for i, e := range gen {

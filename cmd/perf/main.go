@@ -155,7 +155,7 @@ func openOrBuild(dir string, op *core.Operator, texts []core.Text) (*db.DB, *db.
 		if err := d.Close(); err != nil {
 			return nil, nil, err
 		}
-		fmt.Printf("loading %d rows into %s (heap + q-grams + indexes)...\n", len(texts), dir)
+		fmt.Printf("loading %d rows into %s (heap + indexes + gram index)...\n", len(texts), dir)
 		start := time.Now()
 		err := db.BuildAtomic(dir, db.Options{}, func(d *db.DB) error {
 			_, err := db.CreateNameTable(d, "names", op, texts, db.NameTableSpec{WithAux: true, WithIndexes: true})

@@ -117,9 +117,10 @@ type NameTableSpec = db.NameTableSpec
 
 // LoadNames creates and loads the conventional multiscript name layout
 // for texts — the base table with precomputed phonemic strings and
-// grouped phoneme identifiers, the positional q-gram auxiliary table,
-// and the id/group B-tree indexes — enabling the q-gram and indexed
-// strategies for SQL queries over the table.
+// grouped phoneme identifiers, its positional q-gram gram index (under
+// the session's cluster set), and the id/group B-tree indexes —
+// enabling the q-gram and indexed strategies for SQL queries over the
+// table.
 func (x *DB) LoadNames(table string, texts []Text, spec NameTableSpec) error {
 	_, err := db.CreateNameTable(x.d, table, x.sess.Op, texts, spec)
 	return err

@@ -42,11 +42,41 @@ func (s Schema) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// IndexDef describes a secondary B-tree index over one INT column.
+// IndexDef describes a secondary B-tree index of a table. An index of
+// the zero kind maps the values of one INT column to the rows holding
+// them; a gram index (IndexGram) holds the q-gram postings of the
+// STRING column of stored phonemes, projected under the cluster set it
+// names (see gramindex.go). Either is fully determined by its def and
+// the rows of its table.
 type IndexDef struct {
-	Name   string `json:"name"`
-	Table  string `json:"table"`
-	Column string `json:"column"`
+	Name     string    `json:"name"`
+	Table    string    `json:"table"`
+	Column   string    `json:"column"`
+	Kind     IndexKind `json:"kind,omitempty"`
+	Clusters string    `json:"clusters,omitempty"`
+}
+
+// IndexKind tells how an index derives its entries from its table.
+type IndexKind string
+
+// IndexGram is the kind of the gram index.
+const IndexGram IndexKind = "gram"
+
+// column resolves the indexed column of t: an INT for a column index, a
+// STRING for a gram index.
+func (def IndexDef) column(t *Table) (int, error) {
+	want := TInt
+	if def.Kind == IndexGram {
+		want = TString
+	}
+	ci := t.Columns.ColIndex(def.Column)
+	if ci < 0 {
+		return -1, fmt.Errorf("db: index %s: no column %q in table %q", def.Name, def.Column, t.Name)
+	}
+	if t.Columns[ci].Type != want {
+		return -1, fmt.Errorf("db: index %s: column %s.%s must be %v (got %v)", def.Name, t.Name, def.Column, want, t.Columns[ci].Type)
+	}
+	return ci, nil
 }
 
 // tableDef is the persisted form of a table.
@@ -389,6 +419,14 @@ func (d *DB) loadCatalog() (catalogFile, error) {
 	if err := json.Unmarshal(data, &cat); err != nil {
 		// A half-written catalog is corruption, not a caller mistake.
 		return cat, fmt.Errorf("db: parse catalog %s: %v: %w", d.catalogPath(), err, store.ErrCorrupt)
+	}
+	for _, id := range cat.Indexes {
+		// Before the gram index was an index of its base table, it hung
+		// off a <table>_qgrams staging heap under a "(gramhash)->…" marker.
+		if strings.HasPrefix(id.Column, "(gramhash)") {
+			return cat, fmt.Errorf("db: %s: index %s is in the layout of an older build (a gram index over %s); reload with mkdataset",
+				d.dir, id.Name, id.Table)
+		}
 	}
 	return cat, nil
 }
@@ -767,7 +805,7 @@ func (d *DB) CreateIndex(name, table, column string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := d.createIndexTx(tx, name, table, column)
+	ix, err := d.createIndexTx(tx, IndexDef{Name: name, Table: table, Column: column})
 	if err := d.autoEnd(tx, err); err != nil {
 		return nil, err
 	}
@@ -775,52 +813,59 @@ func (d *DB) CreateIndex(name, table, column string) (*Index, error) {
 }
 
 // createIndexTx validates and builds an index as part of tx.
-func (d *DB) createIndexTx(tx *Tx, name, table, column string) (*Index, error) {
-	key := strings.ToLower(name)
+func (d *DB) createIndexTx(tx *Tx, def IndexDef) (*Index, error) {
+	key := strings.ToLower(def.Name)
 	if _, exists := d.indexes[key]; exists {
-		return nil, fmt.Errorf("db: index %q already exists", name)
+		return nil, fmt.Errorf("db: index %q already exists", def.Name)
 	}
-	t, ok := d.Table(table)
+	t, ok := d.Table(def.Table)
 	if !ok {
-		return nil, fmt.Errorf("db: no table %q", table)
+		return nil, fmt.Errorf("db: no table %q", def.Table)
 	}
-	ci := t.Columns.ColIndex(column)
-	if ci < 0 {
-		return nil, fmt.Errorf("db: no column %q in table %q", column, table)
-	}
-	if t.Columns[ci].Type != TInt {
-		return nil, fmt.Errorf("db: index column %s.%s must be INT (got %v)", table, column, t.Columns[ci].Type)
-	}
-	tx.markDDL()
-	bt, err := store.OpenBTreeFS(d.indexPath(name), d.cachePages, d.fs)
+	ci, err := def.column(t)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{Def: IndexDef{Name: name, Table: t.Name, Column: t.Columns[ci].Name}, Tree: bt}
-	// Index every physical record, even claimed or dead versions: index
-	// readers re-check visibility against the heap, so an entry for an
-	// invisible row is inert — but omitting one would lose the row for
-	// any older snapshot that can still see it.
-	err = t.scanVersions(func(rid store.RID, _, _ uint64, row Row) error {
-		if row[ci].T != TInt {
-			return nil // NULLs are not indexed
-		}
-		return bt.Insert(uint64(row[ci].I), rid.Pack())
-	})
+	def.Table, def.Column = t.Name, t.Columns[ci].Name
+	tx.markDDL()
+	bt, err := store.OpenBTreeFS(d.indexPath(def.Name), d.cachePages, d.fs)
+	if err != nil {
+		return nil, err
+	}
+	err = fillIndex(bt, t, def, ci)
 	if err == nil && d.wal != nil {
 		// Make the finished build durable before the catalog names it.
 		err = bt.Flush()
 	}
 	if err != nil {
-		return nil, errors.Join(err, bt.Close(), d.fs.Remove(d.indexPath(name)))
+		return nil, errors.Join(err, bt.Close(), d.fs.Remove(d.indexPath(def.Name)))
 	}
 	// Only incremental maintenance from here on is logged.
 	d.attachTree(bt)
+	ix := &Index{Def: def, Tree: bt}
 	d.indexes[key] = ix
 	if err := d.saveCatalog(tx); err != nil {
 		return nil, err
 	}
 	return ix, nil
+}
+
+// fillIndex bulk-loads bt with the entries def derives from the current
+// heap of t, whose column ci it indexes. A column index takes every
+// physical record, even claimed or dead versions: index readers
+// re-check visibility against the heap, so an entry for an invisible
+// row is inert — but omitting one would lose the row for any older
+// snapshot that can still see it.
+func fillIndex(bt *store.BTree, t *Table, def IndexDef, ci int) error {
+	if def.Kind == IndexGram {
+		return fillGramIndex(bt, t, def, ci)
+	}
+	return t.scanVersions(func(rid store.RID, _, _ uint64, row Row) error {
+		if row[ci].T != TInt {
+			return nil // NULLs are not indexed
+		}
+		return bt.Insert(uint64(row[ci].I), rid.Pack())
+	})
 }
 
 // Index returns the named index.

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 
 	"lexequal/internal/store"
 	"lexequal/internal/wal"
@@ -76,14 +75,12 @@ func (d *DB) Check() []CheckIssue {
 			add(object, "covers unknown table %q", ix.Def.Table)
 			continue
 		}
-		switch ix.Def.Column {
-		case coverColumn:
-			d.checkCoverIndex(ix, t, add)
-			continue
-		case legacyCoverColumn:
-			continue // no plan reads it; its structure was checked above
+		switch ix.Def.Kind {
+		case IndexGram:
+			d.checkGramIndex(ix, t, add)
+		default:
+			d.checkColumnIndex(ix, t, add)
 		}
-		d.checkColumnIndex(ix, t, add)
 	}
 	return issues
 }
@@ -227,119 +224,90 @@ func (d *DB) checkColumnIndex(ix *Index, t *Table, add func(object, format strin
 	}
 }
 
-// checkCoverIndex cross-checks the covering gram index against the aux
-// table and the base table. The multiset of (gramhash, id, pos) triples
-// outside the reserved keys must be identical in the tree and the aux
-// table. Every posting of a live base row must carry the summary
-// recomputed from the row's pname — the q-gram plan dismisses rows on
-// it unfetched, so nothing else would notice a stale one. And the weak
-// list must hold exactly the loaded rows (those with grams in the aux
-// table) that have a weak phoneme, each once, under its own weak key.
-// Entries of rows no longer live are legal, as in any index here.
-func (d *DB) checkCoverIndex(ix *Index, aux *Table, add func(object, format string, args ...interface{})) {
+// checkGramIndex recomputes the gram index from the live rows of its
+// table. A row is covered when the index holds a posting of its id: the
+// index covers the rows of its build, and rows inserted since have none.
+// For every covered live row the index must hold exactly the entries its
+// stored pname gives — the postings, whose summary the q-gram plan
+// dismisses rows on unfetched, and the weak-list entry, whose
+// completeness the residual sweep trusts — so nothing but this check
+// would notice a stale one. Entries of ids no live row holds are legal,
+// as in any index here.
+func (d *DB) checkGramIndex(ix *Index, t *Table, add func(object, format string, args ...interface{})) {
 	object := "index " + ix.Def.Name
-	idCol := aux.Columns.ColIndex("id")
-	posCol := aux.Columns.ColIndex("pos")
-	hashCol := aux.Columns.ColIndex("gramhash")
-	if idCol < 0 || posCol < 0 || hashCol < 0 {
-		add(object, "aux table %s lacks the id/pos/gramhash columns", aux.Name)
-		return
+	ci, err := ix.Def.column(t)
+	var g gramIndex
+	if err == nil {
+		g, err = newGramIndex(ix.Def, t, ci)
 	}
-	base, ok := d.Table(strings.TrimSuffix(aux.Name, "_qgrams"))
-	if !ok {
-		add(object, "aux table %s has no base table", aux.Name)
-		return
-	}
-	baseID, basePhon := base.Columns.ColIndex("id"), base.Columns.ColIndex("pname")
-	if baseID < 0 || basePhon < 0 {
-		add(object, "base table %s lacks the id/pname columns", base.Name)
-		return
-	}
-	sums := map[int64]rowSummary{} // live base rows with phonemes, by id
-	err := base.Scan(func(_ store.RID, row Row) error {
-		if row[baseID].T == TInt && row[basePhon].T == TString {
-			sums[row[baseID].I] = pnameSummary(row[basePhon].S)
-		}
-		return nil
-	})
 	if err != nil {
-		add(object, "base table cross-check scan failed: %v", err)
+		add(object, "%v", err)
 		return
 	}
-
-	var fromTree, fromHeap []coverEntry // postings, their summaries masked
-	weakList := map[coverEntry]int{}    // weak-list entries wanted (+) and found (-)
-	stale := false
+	var fromTree []coverEntry
+	covered := map[int64]bool{}
 	it := ix.Tree.Seek(0)
-	for {
-		key, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		id, pos, plen, weak := UnpackCover(v)
-		s, live := sums[id]
-		if key&coverWeakKey != 0 {
-			if live {
-				weakList[coverEntry{key, v}]--
-			}
-			continue
-		}
-		fromTree = append(fromTree, coverEntry{key, v >> coverPosShift << coverPosShift})
-		if want, _ := CoverValue(id, pos, s.plen, s.weak); live && want != v && !stale {
-			stale = true // one mismatch implies many; report once
-			add(object, "posting (hash %d, id %d, pos %d) carries the summary (plen %d, weak %d), the row's pname gives (%d, %d)",
-				key, id, pos, plen, weak, s.plen, s.weak)
+	for key, v, ok := it.Next(); ok; key, v, ok = it.Next() {
+		fromTree = append(fromTree, coverEntry{key, v})
+		if key&coverWeakKey == 0 {
+			covered[int64(v>>coverIDShift)] = true
 		}
 	}
 	if err := it.Err(); err != nil {
 		add(object, "scan failed: %v", err)
 		return
 	}
-	loaded := map[int64]bool{}
-	err = aux.Scan(func(_ store.RID, row Row) error {
-		id := row[idCol].I
-		v, err := CoverValue(id, int(row[posCol].I), 0, 0)
-		if err != nil {
-			add(object, "aux table %s: %v", aux.Name, err)
+	var fromRows []coverEntry
+	live := map[int64]bool{}
+	err = t.Scan(func(_ store.RID, row Row) error {
+		if row[g.idCol].T != TInt || !covered[row[g.idCol].I] {
 			return nil
 		}
-		fromHeap = append(fromHeap, coverEntry{uint64(row[hashCol].I), v})
-		if s := sums[id]; !loaded[id] && s.weak != 0 {
-			v, _ := CoverValue(id, 0, s.plen, s.weak) // the id fit just above
-			weakList[coverEntry{weakKey(s.weak), v}]++
+		live[row[g.idCol].I] = true
+		var err error
+		if fromRows, err = g.rowEntries(fromRows, row); err != nil {
+			add(object, "row id %d: %v", row[g.idCol].I, err)
 		}
-		loaded[id] = true
 		return nil
 	})
 	if err != nil {
-		add(object, "aux cross-check scan failed: %v", err)
+		add(object, "table cross-check scan failed: %v", err)
 		return
 	}
-	entries := make([]coverEntry, 0, len(weakList))
-	for e := range weakList {
-		entries = append(entries, e)
+	count := map[coverEntry]int{} // entries the rows give (+) and the tree holds (-)
+	for _, e := range fromRows {
+		count[e]++
 	}
-	slices.SortFunc(entries, coverEntry.compare)
-	for _, e := range entries {
-		id, _, plen, weak := UnpackCover(e.val)
-		switch n := weakList[e]; {
-		case n > 0:
-			add(object, "row id %d (plen %d, weak %d) has no weak-list entry under its weak key", id, plen, weak)
-		case n < 0:
-			add(object, "weak-list entry (key %#x, id %d, plen %d, weak %d) matches no loaded row, or repeats one", e.key, id, plen, weak)
+	for _, e := range fromTree {
+		if live[int64(e.val>>coverIDShift)] {
+			count[e]--
 		}
 	}
-	slices.SortFunc(fromTree, coverEntry.compare)
-	slices.SortFunc(fromHeap, coverEntry.compare)
-	if len(fromTree) != len(fromHeap) {
-		add(object, "holds %d postings, aux table %s holds %d grams", len(fromTree), aux.Name, len(fromHeap))
-		return
-	}
-	for i := range fromTree {
-		if fromTree[i] != fromHeap[i] {
-			id, pos, _, _ := UnpackCover(fromTree[i].val)
-			add(object, "entry (hash %d, id %d, pos %d) disagrees with the aux table", fromTree[i].key, id, pos)
-			return // one mismatch implies many; report once
+	var missing, extra []coverEntry
+	for e, n := range count {
+		for ; n > 0; n-- {
+			missing = append(missing, e)
+		}
+		for ; n < 0; n++ {
+			extra = append(extra, e)
 		}
 	}
+	// One stale entry implies many: report the first of each kind.
+	slices.SortFunc(missing, coverEntry.compare)
+	slices.SortFunc(extra, coverEntry.compare)
+	if len(missing) > 0 {
+		add(object, "lacks %d entries of covered rows, first the %v its row's pname gives", len(missing), missing[0])
+	}
+	if len(extra) > 0 {
+		add(object, "holds %d entries no covered row's pname gives, first the %v", len(extra), extra[0])
+	}
+}
+
+// String describes the entry for check reports.
+func (e coverEntry) String() string {
+	id, pos, plen, weak := UnpackCover(e.val)
+	if e.key&coverWeakKey != 0 {
+		return fmt.Sprintf("weak-list entry (key %#x, id %d, plen %d, weak %d)", e.key, id, plen, weak)
+	}
+	return fmt.Sprintf("posting (hash %d, id %d, pos %d, plen %d, weak %d)", e.key, id, pos, plen, weak)
 }

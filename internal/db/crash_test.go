@@ -13,8 +13,8 @@ import (
 )
 
 // crashTexts is a small multiscript load: big enough to exercise the
-// heap, the aux table and every index, small enough that a full
-// per-write fault sweep stays fast. The Arabic row is NORESOURCE.
+// heap and every index, small enough that a full per-write fault sweep
+// stays fast. The Arabic row is NORESOURCE.
 func crashTexts() []core.Text {
 	return []core.Text{
 		{Value: "Nehru", Lang: script.English},
@@ -26,17 +26,33 @@ func crashTexts() []core.Text {
 	}
 }
 
-// crashLoad also builds the ordinary gramhash index the loader built
-// before the covering index made it redundant: directories loaded back
-// then carry it and must keep surviving crashes, and it is the only
-// column index over the aux table, so the sweeps keep the fault points
-// of that index build.
-func crashLoad(d *DB, op *core.Operator) error {
-	if _, err := CreateNameTable(d, "names", op, crashTexts(), NameTableSpec{WithAux: true, WithIndexes: true}); err != nil {
-		return err
+// crashTables are the tables crashLoad loads, each in its own
+// transaction: names, then aliases — the same texts six times over, so
+// its heap and indexes span several pages, and a fault can strike after
+// one load committed and inside the next.
+var crashTables = []struct {
+	name   string
+	copies int
+}{{"names", 1}, {"aliases", 6}}
+
+// crashTableTexts returns the texts crashLoad loads into a table.
+func crashTableTexts(copies int) []core.Text {
+	var texts []core.Text
+	for i := 0; i < copies; i++ {
+		texts = append(texts, crashTexts()...)
 	}
-	_, err := d.CreateIndex("names_qgrams_hash_idx", "names_qgrams", "gramhash")
-	return err
+	return texts
+}
+
+// crashLoad is the load the sweeps interrupt: each of crashTables with
+// its id, group-id and gram indexes.
+func crashLoad(d *DB, op *core.Operator) error {
+	for _, ct := range crashTables {
+		if _, err := CreateNameTable(d, ct.name, op, crashTableTexts(ct.copies), NameTableSpec{WithAux: true, WithIndexes: true}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // verifyReadable asserts that whatever the reopened database can read
@@ -44,45 +60,48 @@ func crashLoad(d *DB, op *core.Operator) error {
 // fine (detection); wrong data is not.
 func verifyReadable(t *testing.T, d *DB, label string) {
 	t.Helper()
-	texts := crashTexts()
-	tbl, ok := d.Table("names")
-	if !ok {
-		return
-	}
-	err := tbl.Scan(func(rid store.RID, row Row) error {
-		if row[0].T != TInt {
-			return fmt.Errorf("row %v has non-int id", rid)
+	for _, ct := range crashTables {
+		texts := crashTableTexts(ct.copies)
+		tbl, ok := d.Table(ct.name)
+		if !ok {
+			continue
 		}
-		id := row[0].I
-		if id < 0 || int(id) >= len(texts) {
-			t.Errorf("%s: row %v has impossible id %d", label, rid, id)
+		err := tbl.Scan(func(rid store.RID, row Row) error {
+			if row[0].T != TInt {
+				return fmt.Errorf("row %v has non-int id", rid)
+			}
+			id := row[0].I
+			if id < 0 || int(id) >= len(texts) {
+				t.Errorf("%s: %s row %v has impossible id %d", label, ct.name, rid, id)
+				return nil
+			}
+			if row[1].T == TNString && row[1].S != texts[id].Value {
+				t.Errorf("%s: %s row %d reads %q, source is %q", label, ct.name, id, row[1].S, texts[id].Value)
+			}
 			return nil
+		})
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			// A scan that fails for a non-corruption reason (e.g. a decode
+			// error on a half-written record) is still detection, not
+			// silent loss — but it must be an error, never a panic, and is
+			// logged for visibility.
+			t.Logf("%s: %s scan stopped: %v", label, ct.name, err)
 		}
-		if row[1].T == TNString && row[1].S != texts[id].Value {
-			t.Errorf("%s: row %d reads %q, source is %q", label, id, row[1].S, texts[id].Value)
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, ErrCorrupt) {
-		// A scan that fails for a non-corruption reason (e.g. a decode
-		// error on a half-written record) is still detection, not silent
-		// loss — but it must be an error, never a panic, and is logged
-		// for visibility.
-		t.Logf("%s: scan stopped: %v", label, err)
 	}
 }
 
 // verifyComplete asserts the database holds the full load, consistent.
 func verifyComplete(t *testing.T, d *DB, label string) {
 	t.Helper()
-	texts := crashTexts()
-	tbl, ok := d.Table("names")
-	if !ok {
-		t.Errorf("%s: names table missing", label)
-		return
-	}
-	if tbl.Count() != uint64(len(texts)) {
-		t.Errorf("%s: %d rows, want %d", label, tbl.Count(), len(texts))
+	for _, ct := range crashTables {
+		tbl, ok := d.Table(ct.name)
+		if !ok {
+			t.Errorf("%s: %s table missing", label, ct.name)
+			continue
+		}
+		if want := uint64(len(crashTableTexts(ct.copies))); tbl.Count() != want {
+			t.Errorf("%s: %s holds %d rows, want %d", label, ct.name, tbl.Count(), want)
+		}
 	}
 	if issues := d.Check(); len(issues) != 0 {
 		t.Errorf("%s: check found %d issues, first: %s", label, len(issues), issues[0])

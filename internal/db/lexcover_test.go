@@ -3,7 +3,10 @@ package db
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,22 +115,31 @@ func TestCoverValueRoundTripAndRange(t *testing.T) {
 	}
 }
 
-// TestCoverIndexRefusesWideID: the loader builds the covering index from
-// the aux table; a gram whose id the posting cannot hold — it names no
-// loaded row either — fails the load instead of aliasing another row.
+// TestCoverIndexRefusesWideID: a row whose id the posting cannot hold
+// fails the gram index build instead of aliasing another row, and the
+// failed build leaves no index behind.
 func TestCoverIndexRefusesWideID(t *testing.T) {
 	d := openDB(t)
 	op := core.MustNew(core.Options{})
 	texts := []core.Text{{Value: "Nehru", Lang: script.English}}
-	cfg, err := CreateNameTable(d, "names", op, texts, NameTableSpec{WithAux: true})
+	cfg, err := CreateNameTable(d, "names", op, texts, NameTableSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cfg.Aux.Insert(Row{Int(1 << coverIDBits), Int(1), Str("##n"), Int(GramHash("##n"))}); err != nil {
+	if _, err := cfg.Table.Insert(Row{Int(1 << coverIDBits), NStr("Nehru", script.English), Str("neːru"), Null()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := buildCoverIndex(d, nil, "names", cfg.Aux, make([]rowSummary, len(texts))); err == nil {
+	def := IndexDef{Name: CoverIndexName("names"), Table: "names", Column: "pname", Kind: IndexGram, Clusters: op.Clusters().Name()}
+	tx, err := d.autoBegin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.createIndexTx(tx, def)
+	if err := d.autoEnd(tx, err); err == nil {
 		t.Error("a gram of an id outside the posting layout was indexed")
+	}
+	if _, ok := d.Index(def.Name); ok {
+		t.Error("the failed build left its index in the catalog")
 	}
 }
 
@@ -325,73 +337,10 @@ func TestQGramFetchesOnlySurvivors(t *testing.T) {
 	}
 }
 
-// TestLegacyCoverIndexFallsBack: a directory whose covering index is in
-// the layout before postings carried a summary (bare id<<16 | pos under
-// the old catalog marker, no weak list) opens, resolves to no covering
-// index — the plan probes the aux table instead — answers as the naive
-// plan does, and passes check.
-func TestLegacyCoverIndexFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	op := core.MustNew(core.Options{})
-	texts := generatedTexts(t, op, 300)
-	d, err := OpenOpts(dir, Options{DisableWAL: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := CreateNameTable(d, "names", op, texts, NameTableSpec{WithAux: true, WithIndexes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := append([]core.Text{{Value: "Ha", Lang: script.English}}, texts[:40]...)
-	var want [][]int64
-	for _, q := range queries {
-		want = append(want, planIDs(t, NewLexScanQGram(cfg, q, 0.25, nil), cfg.IDCol))
-	}
-	var legacy []coverEntry
-	for _, e := range coverEntries(t, cfg.CoverIndex) {
-		if e.key&coverWeakKey == 0 {
-			id, pos, _, _ := UnpackCover(e.val)
-			legacy = append(legacy, coverEntry{e.key, uint64(id)<<16 | uint64(pos)})
-		}
-	}
-	rebuildCover(t, d, cfg.CoverIndex, legacy)
-	cfg.CoverIndex.Def.Column = legacyCoverColumn
-	if err := d.saveCatalog(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if ix, ok := d.Index(CoverIndexName("names")); !ok || ix.Def.Column != legacyCoverColumn {
-		t.Fatal("the legacy index did not survive reopen; the test proves nothing")
-	}
-	cfg, err = ResolveLexConfig(d, "names", op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.CoverIndex != nil {
-		t.Fatal("a covering index in the old layout resolved as the current one")
-	}
-	for i, q := range queries {
-		got := planIDs(t, NewLexScanQGram(cfg, q, 0.25, nil), cfg.IDCol)
-		if naive := planIDs(t, NewLexScanNaive(cfg, q, 0.25, nil), cfg.IDCol); !reflect.DeepEqual(got, want[i]) || !reflect.DeepEqual(got, naive) {
-			t.Errorf("%v: aux-scan probe %v, covering index gave %v, naive %v", q, got, want[i], naive)
-		}
-	}
-	if issues := d.Check(); len(issues) != 0 {
-		t.Errorf("check on a legacy directory: %v", issues)
-	}
-}
-
-// TestQGramPostingsInAnyOrder: nothing in the plan may lean on a posting
-// list being id-ordered — DML will one day insert into the middle of
-// one, and BTree.Insert keeps (key, value) order only within a leaf.
+// TestQGramPostingsInAnyOrder: nothing in the plan may lean on the order
+// postings were inserted in — DML will one day insert into the middle of
+// a posting list. A build from the entries shuffled must hold them in
+// the loader's (key, value) order, across leaves too, and answer alike.
 func TestQGramPostingsInAnyOrder(t *testing.T) {
 	cfg, texts := mixedLexFixture(t)
 	queries := append([]core.Text{{Value: "Ha", Lang: script.English}}, texts[:30]...)
@@ -399,15 +348,15 @@ func TestQGramPostingsInAnyOrder(t *testing.T) {
 	for _, q := range queries {
 		want = append(want, planIDs(t, NewLexScanQGram(cfg, q, 0.25, nil), cfg.IDCol))
 	}
-	entries := coverEntries(t, cfg.CoverIndex)
+	loaded := coverEntries(t, cfg.CoverIndex)
+	entries := slices.Clone(loaded)
 	rand.New(rand.NewSource(3)).Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 	rebuildCover(t, cfg.Table.db, cfg.CoverIndex, entries)
-	ordered := true
-	for after := coverEntries(t, cfg.CoverIndex); len(after) > 1; after = after[1:] {
-		ordered = ordered && after[0].compare(after[1]) <= 0
+	if issues := cfg.CoverIndex.Tree.Check(); len(issues) != 0 {
+		t.Fatalf("the shuffled build: %d issues, first: %s", len(issues), issues[0])
 	}
-	if ordered {
-		t.Fatal("the shuffled build left every posting list in order; the test proves nothing")
+	if after := coverEntries(t, cfg.CoverIndex); !reflect.DeepEqual(after, loaded) {
+		t.Fatal("the shuffled build holds the entries in another order than the loader's")
 	}
 	for i, q := range queries {
 		if got := planIDs(t, NewLexScanQGram(cfg, q, 0.25, nil), cfg.IDCol); !reflect.DeepEqual(got, want[i]) {
@@ -609,4 +558,70 @@ func FuzzCoverPosting(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWALLoadOfTenThousandRows: one WAL-backed CreateNameTable of 10,000
+// generated rows commits — its logged pages fit the buffer pool, and the
+// index builds are not logged — and is clean under Check and CheckWAL,
+// before and after a reopen.
+func TestWALLoadOfTenThousandRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 10,000-row load")
+	}
+	lex, err := dataset.BuildLexicon(ttp.Default(), dataset.SourceAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var texts []core.Text
+	for _, e := range dataset.Generate(lex, 10000) {
+		texts = append(texts, e.Text)
+	}
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := CreateNameTable(d, "names", core.MustNew(core.Options{}), texts, NameTableSpec{WithAux: true, WithIndexes: true})
+	if err != nil {
+		d.Close()
+		t.Fatal(err)
+	}
+	if n := cfg.Table.Count(); n != 10000 {
+		t.Errorf("%d rows loaded", n)
+	}
+	for _, reopen := range []bool{false, true} {
+		if reopen {
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if d, err = Open(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, is := range append(d.Check(), d.CheckWAL()...) {
+			t.Errorf("reopened %v: %s", reopen, is)
+		}
+	}
+	d.Close()
+}
+
+// TestOpenRefusesStagingHeapLayout: a directory whose catalog still hangs
+// the gram index off a <table>_qgrams staging heap, as older builds wrote
+// it, is refused with a pointer to the reload.
+func TestOpenRefusesStagingHeapLayout(t *testing.T) {
+	dir := t.TempDir()
+	catalog := `{"tables": [{"name": "names", "columns": [{"name": "id", "type": 1}]},
+		{"name": "names_qgrams", "columns": [{"name": "id", "type": 1}, {"name": "gramhash", "type": 1}]}],
+	"indexes": [{"name": "names_qgrams_cover", "table": "names_qgrams", "column": "(gramhash)->(id,pos,plen,weak)"}]}`
+	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), []byte(catalog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir)
+	if err == nil {
+		d.Close()
+		t.Fatal("a catalog in the staging-heap layout opened")
+	}
+	if !strings.Contains(err.Error(), "reload with mkdataset") {
+		t.Errorf("error %q does not name the reload", err)
+	}
 }

@@ -34,9 +34,9 @@ func (f *FuncExpr) String() string { return f.Desc }
 // verifies. The conventional layout (produced by the dataset loader) is:
 //
 //	<table>(id INT, name NSTRING, pname STRING, groupid INT)
-//	<table>_qgrams(id INT, pos INT, qgram STRING)
 //	index <table>_id_idx  on <table>(id)
 //	index <table>_gid_idx on <table>(groupid)
+//	gram index <table>_qgrams_cover on <table>(pname)
 type LexConfig struct {
 	Table    *Table
 	IDCol    int
@@ -44,12 +44,9 @@ type LexConfig struct {
 	PhonCol  int
 	GroupCol int
 
-	Aux                    *Table // nil disables the q-gram scan
-	AuxID, AuxPos, AuxGram int
-
 	IDIndex    *Index // nil disables q-gram candidate fetch by index
 	GroupIndex *Index // nil disables the phonetic-index scan
-	CoverIndex *Index // covering gram index in the current posting layout; nil makes the q-gram probe scan the aux table
+	CoverIndex *Index // the gram index under Op's cluster set; nil disables the q-gram scan
 
 	Op *core.Operator
 	Q  int
@@ -302,7 +299,8 @@ func (cs *lexCands) decode(idx []int) ([]Row, error) {
 	return rows, nil
 }
 
-// ResolveLexConfig locates the conventional structures for table.
+// ResolveLexConfig locates the conventional structures for table. The
+// gram index resolves only under the cluster set it was built with.
 func ResolveLexConfig(d *DB, table string, op *core.Operator) (*LexConfig, error) {
 	t, ok := d.Table(table)
 	if !ok {
@@ -316,17 +314,8 @@ func ResolveLexConfig(d *DB, table string, op *core.Operator) (*LexConfig, error
 	if cfg.NameCol < 0 {
 		return nil, fmt.Errorf("db: table %q lacks a name column", table)
 	}
-	if aux, ok := d.Table(table + "_qgrams"); ok {
-		cfg.Aux = aux
-		cfg.AuxID = aux.Columns.ColIndex("id")
-		cfg.AuxPos = aux.Columns.ColIndex("pos")
-		cfg.AuxGram = aux.Columns.ColIndex("qgram")
-		if cfg.AuxID < 0 || cfg.AuxPos < 0 || cfg.AuxGram < 0 {
-			return nil, fmt.Errorf("db: aux table %s_qgrams has wrong schema", table)
-		}
-		if ix, ok := d.Index(CoverIndexName(t.Name)); ok && ix.Def.Column == coverColumn {
-			cfg.CoverIndex = ix
-		}
+	if ix, ok := d.Index(CoverIndexName(t.Name)); ok && ix.Def.Kind == IndexGram && ix.Def.Clusters == op.Clusters().Name() {
+		cfg.CoverIndex = ix
 	}
 	if ix, ok := d.IndexOn(t.Name, "id"); ok {
 		cfg.IDIndex = ix
@@ -467,26 +456,10 @@ func (gp *gramProbe) note(qf *core.QGramFilter, positions []int, v uint64) {
 	gp.hits = append(gp.hits, v&^(coverUnknown<<coverPosShift)|uint64(min(d, coverUnknown))<<coverPosShift)
 }
 
-// readPostings collects the postings of every gram of the query: from
-// the covering index, each carrying its row's summary, or — without it —
-// from an aux-table scan, whose postings carry none.
+// readPostings collects the postings of every gram of the query from
+// the gram index, each carrying its row's summary.
 func (cfg *LexConfig) readPostings(gp *gramProbe, qf *core.QGramFilter) error {
-	table := qf.Table()
-	if cfg.CoverIndex == nil {
-		return cfg.Aux.ScanSnap(cfg.Snap, func(_ store.RID, row Row) error {
-			positions, ok := table[row[cfg.AuxGram].S]
-			if !ok {
-				return nil
-			}
-			v, err := CoverValue(row[cfg.AuxID].I, int(row[cfg.AuxPos].I), core.SummaryUnknown, core.SummaryUnknown)
-			if err != nil {
-				return err
-			}
-			gp.note(qf, positions, v)
-			return nil
-		})
-	}
-	for key, positions := range table {
+	for key, positions := range qf.Table() {
 		h := uint64(GramHash(key))
 		it := cfg.CoverIndex.Tree.Seek(h)
 		for {
@@ -508,11 +481,11 @@ func (cfg *LexConfig) readPostings(gp *gramProbe, qf *core.QGramFilter) error {
 // the pair's exact budget from the summary its postings carry, touching
 // no row. A hash collision can only inflate a count, which admits an
 // extra candidate for verification, never a dismissal; a posting without
-// a summary has its row fetched and decided afterwards. Then it settles
+// a summary (saturated) has its row fetched and decided afterwards. Then it settles
 // the residual sweep for candidates that share no gram with the query:
 // none where the count filter dismisses them all, the weak list from the
 // weak count at which it stops doing so, the heap if that count is zero
-// (the weak list holds no such rows) or there is no weak list.
+// (the weak list holds no such rows).
 func (cfg *LexConfig) probe(gp *gramProbe, qf *core.QGramFilter) error {
 	if err := cfg.readPostings(gp, qf); err != nil {
 		return err
@@ -538,7 +511,7 @@ func (cfg *LexConfig) probe(gp *gramProbe, qf *core.QGramFilter) error {
 	gp.probed = len(gp.ids)
 	switch wmin, residual := qf.SweepFrom(); {
 	case !residual:
-	case wmin == 0 || cfg.CoverIndex == nil:
+	case wmin == 0:
 		gp.heapSweep = true
 	default:
 		return cfg.sweep(gp, qf, wmin)
@@ -603,10 +576,10 @@ func (gp *gramProbe) dispsOf(id int64) []int32 {
 // filters against each fetched row's own columns and verifies. The heap
 // is scanned only when the filter has no power even over rows without a
 // weak phoneme, which the weak list does not hold, and for tables
-// without a covering or an id index.
+// without an id index.
 func NewLexScanQGram(cfg *LexConfig, query core.Text, threshold float64, langs core.LangSet) Node {
-	if cfg.Aux == nil {
-		return ErrNode("lexequal: table %s has no q-gram auxiliary table", cfg.Table.Name)
+	if cfg.CoverIndex == nil {
+		return ErrNode("lexequal: table %s has no gram index under cluster set %q", cfg.Table.Name, cfg.Op.Clusters().Name())
 	}
 	if cfg.IDCol < 0 {
 		return ErrNode("lexequal: table %s has no id column", cfg.Table.Name)

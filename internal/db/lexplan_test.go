@@ -51,16 +51,21 @@ func ids(rows []Row, idCol int) []int64 {
 
 func TestLoaderLayout(t *testing.T) {
 	d, cfg, _ := lexFixture(t)
-	if cfg.Aux == nil || cfg.IDIndex == nil || cfg.GroupIndex == nil {
-		t.Fatal("loader did not build auxiliary structures")
+	if cfg.CoverIndex == nil || cfg.IDIndex == nil || cfg.GroupIndex == nil {
+		t.Fatal("loader did not build the indexes")
+	}
+	if got := d.Tables(); !reflect.DeepEqual(got, []string{"names"}) {
+		t.Errorf("tables = %v, want the base table only", got)
+	}
+	if def := cfg.CoverIndex.Def; def.Table != "names" || def.Column != "pname" || def.Kind != IndexGram || def.Clusters != "default" {
+		t.Errorf("gram index def = %+v", def)
+	}
+	if cfg.CoverIndex.Tree.Count() == 0 {
+		t.Error("gram index empty")
 	}
 	tbl, _ := d.Table("names")
 	if tbl.Count() != 12 {
 		t.Errorf("row count = %d", tbl.Count())
-	}
-	aux, _ := d.Table("names_qgrams")
-	if aux.Count() == 0 {
-		t.Error("aux table empty")
 	}
 	// NORESOURCE row has NULL pname and groupid.
 	rows, _ := Collect(NewSeqScan(tbl))
@@ -71,46 +76,6 @@ func TestLoaderLayout(t *testing.T) {
 	// Other rows carry IPA that parses.
 	if rows[4][cfg.PhonCol].S == "" {
 		t.Error("English row lacks pname")
-	}
-}
-
-// TestLegacyGramHashIndexIgnored: directories loaded before the loader
-// stopped building <table>_qgrams_hash_idx still carry it; they must
-// open, and the plans must neither need nor trip over it.
-func TestLegacyGramHashIndexIgnored(t *testing.T) {
-	d, cfg, op := lexFixture(t)
-	if _, ok := d.Index("names_qgrams_hash_idx"); ok {
-		t.Fatal("the loader still builds the unused gramhash index")
-	}
-	if _, err := d.CreateIndex("names_qgrams_hash_idx", "names_qgrams", "gramhash"); err != nil {
-		t.Fatal(err)
-	}
-	dir := d.dir
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if _, ok := d.Index("names_qgrams_hash_idx"); !ok {
-		t.Fatal("the legacy index did not survive reopen; the test proves nothing")
-	}
-	legacy, err := ResolveLexConfig(d, "names", op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.CoverIndex == nil || legacy.IDIndex == nil {
-		t.Fatal("reopened config lost the indexes the q-gram plan reads")
-	}
-	q := core.Text{Value: "Nehru", Lang: script.English}
-	rows, err := Collect(NewLexScanQGram(legacy, q, 0.30, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ids(rows, cfg.IDCol); !reflect.DeepEqual(got, []int64{1, 3, 4, 5}) {
-		t.Errorf("q-gram scan over a legacy directory = %v, want [1 3 4 5]", got)
 	}
 }
 
@@ -199,13 +164,28 @@ func TestLexScanErrsWithoutStructures(t *testing.T) {
 	op := core.MustNew(core.Options{})
 	cfg, err := CreateNameTable(d, "bare", op, []core.Text{
 		{Value: "Nehru", Lang: script.English},
-	}, NameTableSpec{}) // no aux, no indexes
+	}, NameTableSpec{}) // no gram index, no indexes
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := core.Text{Value: "Nehru", Lang: script.English}
 	if _, err := Collect(NewLexScanQGram(cfg, q, 0.3, nil)); err == nil {
-		t.Error("qgram scan without aux table succeeded")
+		t.Error("qgram scan without a gram index succeeded")
+	}
+	// A gram index built under one cluster set does not resolve under
+	// another: its postings would dismiss rows the other set matches.
+	if _, err := CreateNameTable(d, "grams", op, []core.Text{q}, NameTableSpec{WithAux: true}); err != nil {
+		t.Fatal(err)
+	}
+	coarse := core.MustNew(core.Options{Clusters: phoneme.CoarseClusters()})
+	if other, err := ResolveLexConfig(d, "grams", coarse); err != nil || other.CoverIndex != nil {
+		t.Errorf("under coarse clusters: gram index %v, err %v", other.CoverIndex, err)
+	}
+	// The index names its cluster set, so a set no name resolves to
+	// cannot have one.
+	custom := core.MustNew(core.Options{Clusters: phoneme.MustFromGroups("default", nil)})
+	if _, err := CreateNameTable(d, "custom", custom, []core.Text{q}, NameTableSpec{WithAux: true}); err == nil {
+		t.Error("a gram index was built under a cluster set its name does not resolve to")
 	}
 	if _, err := Collect(NewLexScanIndexed(cfg, q, 0.3, nil)); err == nil {
 		t.Error("indexed scan without index succeeded")
@@ -353,9 +333,9 @@ func TestLexJoinStrategies(t *testing.T) {
 		t.Error("indexed join found nothing")
 	}
 
-	// A row committed after the load is invisible to <table>_qgrams and
-	// the covering index, which only the bulk loader fills; the q-gram
-	// join reads neither, so it must still equal the naive join. (The
+	// A row committed after the load has no entries in the gram index,
+	// which covers the rows of its build; the q-gram join does not read
+	// it, so it must still equal the naive join. (The
 	// row is glottal-free on purpose: the count filter has power for it,
 	// so no zero-gram sweep can stumble on it.)
 	p, err := cfg.Op.Transform("गांधी", script.Hindi)

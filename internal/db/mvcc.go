@@ -303,6 +303,9 @@ func (t *Table) InsertTx(tx *Tx, row Row) (store.RID, error) {
 		if !strings.EqualFold(ix.Def.Table, t.Name) {
 			continue
 		}
+		if ix.Def.Kind == IndexGram {
+			continue // it covers the rows of its build only (DESIGN.md §4b)
+		}
 		ci := t.Columns.ColIndex(ix.Def.Column)
 		if ci < 0 || row[ci].T != TInt {
 			continue

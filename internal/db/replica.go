@@ -178,10 +178,9 @@ func (d *DB) rebuildIndex(ix *Index) error {
 	if !ok {
 		return fmt.Errorf("db: replica index %s references missing table %s", ix.Def.Name, ix.Def.Table)
 	}
-	ci := t.Columns.ColIndex(ix.Def.Column)
-	if ci < 0 {
-		return fmt.Errorf("db: replica index %s references missing column %s.%s",
-			ix.Def.Name, ix.Def.Table, ix.Def.Column)
+	ci, err := ix.Def.column(t)
+	if err != nil {
+		return fmt.Errorf("db: replica: %w", err)
 	}
 	build := d.indexPath(ix.Def.Name) + ".build"
 	if err := d.fs.Remove(build); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -191,13 +190,7 @@ func (d *DB) rebuildIndex(ix *Index) error {
 	if err != nil {
 		return err
 	}
-	err = t.scanVersions(func(rid store.RID, _, _ uint64, row Row) error {
-		if row[ci].T != TInt {
-			return nil // NULLs are not indexed
-		}
-		return bt.Insert(uint64(row[ci].I), rid.Pack())
-	})
-	if err == nil {
+	if err = fillIndex(bt, t, ix.Def, ci); err == nil {
 		err = bt.Flush()
 	}
 	if cerr := bt.Close(); err == nil {

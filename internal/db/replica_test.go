@@ -10,6 +10,8 @@ import (
 	"sort"
 	"testing"
 
+	"lexequal/internal/core"
+	"lexequal/internal/script"
 	"lexequal/internal/store"
 	"lexequal/internal/wal"
 )
@@ -622,4 +624,66 @@ func TestReplicaCrashTorture(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplicaAppliesNameTableLoad: a follower applies a WAL-backed
+// CreateNameTable. The rows stream as page images; the index builds are
+// not logged, so the follower rebuilds all three from the rows it holds,
+// the gram index included. Its gram index and its q-gram answers equal
+// the primary's, Check and CheckWAL are clean on both, and all of it
+// holds again after the follower restarts.
+func TestReplicaAppliesNameTableLoad(t *testing.T) {
+	op := core.MustNew(core.Options{})
+	texts := generatedTexts(t, op, 600)
+	prim := openDB(t)
+	if _, err := CreateNameTable(prim, "names", op, texts, NameTableSpec{WithAux: true, WithIndexes: true}); err != nil {
+		t.Fatal(err)
+	}
+	raws := captureRaws(t, prim)
+	queries := append([]core.Text{{Value: "Ha", Lang: script.English}}, texts[:40]...)
+	view := func(label string, d *DB) ([]coverEntry, [][]int64) {
+		t.Helper()
+		cfg, err := ResolveLexConfig(d, "names", op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.CoverIndex == nil || cfg.IDIndex == nil {
+			t.Fatalf("%s: the gram or the id index did not resolve", label)
+		}
+		var answers [][]int64
+		for _, q := range queries {
+			answers = append(answers, planIDs(t, NewLexScanQGram(cfg, q, 0.25, nil), cfg.IDCol))
+		}
+		for _, is := range append(d.Check(), d.CheckWAL()...) {
+			t.Errorf("%s: %s", label, is)
+		}
+		return coverEntries(t, cfg.CoverIndex), answers
+	}
+	wantEntries, want := view("primary", prim)
+
+	dir := t.TempDir()
+	repl, err := OpenOpts(dir, Options{Replica: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := applyRaws(repl, raws, 16); err != nil {
+		repl.Close()
+		t.Fatalf("apply: %v", err)
+	}
+	for _, label := range []string{"follower", "restarted follower"} {
+		entries, got := view(label, repl)
+		if !reflect.DeepEqual(entries, wantEntries) {
+			t.Errorf("%s: gram index of %d entries, the primary's holds %d or differs", label, len(entries), len(wantEntries))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: q-gram answers %v, the primary's %v", label, got, want)
+		}
+		if err := repl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if repl, err = OpenOpts(dir, Options{Replica: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repl.Close()
 }

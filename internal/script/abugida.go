@@ -125,6 +125,10 @@ var DevanagariAbugida = &Abugida{
 		// Nukta (Perso-Arabic loan) letters, precomposed (U+0958..U+095E).
 		{'क़', "q", ""}, {'ख़', "x", ""}, {'ग़', "ɣ", ""}, {'ज़', "z", ""},
 		{'ड़', "ɽ", ""}, {'ढ़', "ɽ", ""}, {'फ़', "f", ""},
+		// Precomposed nukta letters whose sound Hindi does not tell from
+		// the base letter's: read as the base (and its nukta) reads, never
+		// rendered, since the base row claims the phoneme first.
+		{'ऩ', "n", ""}, {'ऱ', "r", ""}, {'य़', "j", ""},
 	},
 	// Only the reduced schwa is left inherent: the full open vowel is
 	// written with the long letter (a transliterator writes Karachi as
@@ -167,6 +171,8 @@ var TamilAbugida = &Abugida{
 		{'ல', "l", "ʎ"}, {'ள', "ɭ", ""}, {'ழ', "ɻ", ""}, {'வ', "ʋ", "v w"},
 		// Grantha letters for loan sounds.
 		{'ஷ', "ʂ", "ʃ"}, {'ஸ', "s", ""}, {'ஹ', "ɦ", "h"},
+		// ஶ is read; ʃ renders as ஷ, whose row claims it first.
+		{'ஶ', "ʃ", ""},
 	},
 	Vowels: []Vowel{
 		{'அ', 0, "a", "ə ʌ ɜ ɜː ɐ ã"},

@@ -481,11 +481,13 @@ func (s *Session) planBase(sc *scope, sel *SelectStmt, info *planInfo) (db.Node,
 }
 
 // lexScan picks the physical scan per the session strategy, falling
-// back to naive when structures are missing.
+// back to naive when structures are missing — for q-gram, also when the
+// gram index was built under another cluster set than the session's
+// (ResolveLexConfig then leaves CoverIndex nil).
 func (s *Session) lexScan(cfg *db.LexConfig, query core.Text, thr float64, langs core.LangSet) (db.Node, string) {
 	switch s.Strategy {
 	case core.QGram:
-		if cfg.Aux != nil {
+		if cfg.CoverIndex != nil {
 			return db.NewLexScanQGram(cfg, query, thr, langs), "qgram"
 		}
 	case core.Indexed:

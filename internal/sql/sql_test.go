@@ -1,12 +1,16 @@
 package sql
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"lexequal/internal/core"
+	"lexequal/internal/dataset"
 	"lexequal/internal/db"
 	"lexequal/internal/script"
+	"lexequal/internal/ttp"
 )
 
 func newTestSession(t *testing.T) *Session {
@@ -486,5 +490,50 @@ func TestExplainNaiveAndOrderByAggregate(t *testing.T) {
 	res := mustExec(t, s, `SELECT Language, COUNT(*) FROM Books GROUP BY Language ORDER BY COUNT(*) DESC LIMIT 1`)
 	if len(res.Rows) != 1 || res.Rows[0][0].S != "English" {
 		t.Errorf("order-by-aggregate = %v", res.Rows)
+	}
+}
+
+// TestQGramUnderAnotherClusterSet: the gram index holds postings
+// projected under the cluster set of its load. A session under another
+// set must not read them — they would dismiss rows its operator matches —
+// so the q-gram strategy falls back to the naive scan there, and answers
+// as naive does under every set.
+func TestQGramUnderAnotherClusterSet(t *testing.T) {
+	s := newTestSession(t)
+	lex, err := dataset.BuildLexicon(ttp.Default(), dataset.SourceAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var texts []core.Text
+	for _, e := range dataset.Generate(lex, 1500) {
+		texts = append(texts, e.Text)
+	}
+	if _, err := db.CreateNameTable(s.DB, "names", s.Op, texts, db.NameTableSpec{WithAux: true, WithIndexes: true}); err != nil {
+		t.Fatal(err)
+	}
+	var queries []string
+	for _, i := range rand.New(rand.NewSource(43)).Perm(len(texts))[:100] {
+		queries = append(queries, fmt.Sprintf("SELECT id FROM names WHERE name LEXEQUAL '%s' LANG %s THRESHOLD 0.25 ORDER BY id",
+			strings.ReplaceAll(texts[i].Value, "'", "''"), texts[i].Lang))
+	}
+	for _, clusters := range []string{"default", "coarse", "fine"} {
+		mustExec(t, s, `SET lexequal_clusters = `+clusters)
+		want := map[string]string{"default": "qgram", "coarse": "naive", "fine": "naive"}[clusters]
+		mustExec(t, s, `SET lexequal_strategy = qgram`)
+		if plan := mustExec(t, s, `EXPLAIN `+queries[0]).Rows[0][0].S; !strings.Contains(plan, want) {
+			t.Errorf("%s: EXPLAIN = %q, want the %s scan", clusters, plan, want)
+		}
+		lost := 0
+		for _, q := range queries {
+			mustExec(t, s, `SET lexequal_strategy = naive`)
+			naive := fmt.Sprint(mustExec(t, s, q).Rows)
+			mustExec(t, s, `SET lexequal_strategy = qgram`)
+			if qg := fmt.Sprint(mustExec(t, s, q).Rows); qg != naive {
+				lost++
+			}
+		}
+		if lost > 0 {
+			t.Errorf("%s: the q-gram strategy differs from naive on %d of %d queries", clusters, lost, len(queries))
+		}
 	}
 }

@@ -287,24 +287,9 @@ func innerUpperBound(p *Page, key uint64) int {
 	return lo
 }
 
-// childFor returns the rightmost child page whose range covers key —
-// the insert path (new duplicates go to the right of existing ones).
-func childFor(p *Page, key uint64) PageID {
-	i := innerUpperBound(p, key)
-	if i == 0 {
-		return innerLeft(p)
-	}
-	return innerChild(p, i-1)
-}
-
-// seekChild returns the leftmost child page that can contain the first
-// occurrence of key. This differs from childFor when duplicates
-// straddle a split boundary: entries equal to a separator key may live
-// in the subtree to its left, so a search for the first occurrence must
-// descend there and rely on the leaf chain to walk right.
-func seekChild(p *Page, key uint64) PageID {
-	n := nodeCount(p)
-	lo, hi := 0, n // first i with innerKey(i) >= key
+// innerLowerBound returns the first index i with innerKey(i) >= key.
+func innerLowerBound(p *Page, key uint64) int {
+	lo, hi := 0, nodeCount(p)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if innerKey(p, mid) >= key {
@@ -313,10 +298,74 @@ func seekChild(p *Page, key uint64) PageID {
 			lo = mid + 1
 		}
 	}
-	if lo == 0 {
+	return lo
+}
+
+// childAt returns child slot i of an inner node: -1 is the leftmost
+// child, i ≥ 0 the child to the right of separator i.
+func childAt(p *Page, i int) PageID {
+	if i < 0 {
 		return innerLeft(p)
 	}
-	return innerChild(p, lo-1)
+	return innerChild(p, i)
+}
+
+// insertSlot returns the child slot (see childAt) an insert of (key,
+// value) descends to: the rightmost child whose first entry is at most
+// the pair. A separator is the first key of its child's subtree, and
+// the insert path keeps that child's first entry in place, so only the
+// children behind separators equal to key need their first value read.
+func (t *BTree) insertSlot(p *Page, key, value uint64) (int, error) {
+	lo, hi := innerLowerBound(p, key), innerUpperBound(p, key)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		first, err := t.firstValue(innerChild(p, mid))
+		if err != nil {
+			return 0, err
+		}
+		if first <= value {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1, nil
+}
+
+// firstValue returns the value of the first entry of the subtree at id.
+func (t *BTree) firstValue(id PageID) (uint64, error) {
+	for depth := 0; depth <= maxDepth; depth++ {
+		p, err := t.node(id)
+		if err != nil {
+			return 0, err
+		}
+		kind, n := nodeKind(p), nodeCount(p)
+		if kind == nodeInternal {
+			id = innerLeft(p)
+			t.pg.Unpin(p)
+			continue
+		}
+		var v uint64
+		if n > 0 {
+			v = leafVal(p, 0)
+		}
+		t.pg.Unpin(p)
+		if n == 0 {
+			return 0, &CorruptPageError{Path: t.pg.Path(), Page: id, Reason: "empty leaf below a separator"}
+		}
+		return v, nil
+	}
+	return 0, &CorruptPageError{Path: t.pg.Path(), Page: id,
+		Reason: fmt.Sprintf("descent deeper than %d levels (pointer cycle?)", maxDepth)}
+}
+
+// seekChild returns the leftmost child page that can contain the first
+// occurrence of key. Entries equal to a separator key may live in the
+// subtree to its left when duplicates straddle a split boundary, so a
+// search for the first occurrence must descend there and rely on the
+// leaf chain to walk right.
+func seekChild(p *Page, key uint64) PageID {
+	return childAt(p, innerLowerBound(p, key)-1)
 }
 
 // leafLowerBound returns the first index i with key(i) >= key (or, when
@@ -336,8 +385,8 @@ func leafLowerBound(p *Page, key uint64) int {
 }
 
 // Insert adds (key, value). Duplicate keys (and duplicate pairs) are
-// allowed; entries with equal keys are stored in insertion-independent
-// (value) order.
+// allowed; the tree keeps every entry in (key, value) order, across
+// leaves too, whatever order they are inserted in.
 func (t *BTree) Insert(key, value uint64) error {
 	t.latch.Lock()
 	defer t.latch.Unlock()
@@ -422,7 +471,12 @@ func (t *BTree) insertAtDepth(id PageID, key, value uint64, depth int) (uint64, 
 		defer t.pg.Unpin(p)
 		return t.insertLeaf(p, key, value)
 	}
-	child := childFor(p, key)
+	slot, err := t.insertSlot(p, key, value)
+	if err != nil {
+		t.pg.Unpin(p)
+		return 0, 0, false, err
+	}
+	child := childAt(p, slot)
 	t.pg.Unpin(p) // release during recursion; re-fetch if child split
 	promo, right, split, err := t.insertAtDepth(child, key, value, depth+1)
 	if err != nil || !split {
@@ -433,7 +487,7 @@ func (t *BTree) insertAtDepth(id PageID, key, value uint64, depth int) (uint64, 
 		return 0, 0, false, err
 	}
 	defer t.pg.Unpin(p)
-	return t.insertInner(p, key, promo, right)
+	return t.insertInner(p, slot+1, promo, right)
 }
 
 func (t *BTree) insertLeaf(p *Page, key, value uint64) (uint64, PageID, bool, error) {
@@ -489,14 +543,13 @@ func (t *BTree) insertLeaf(p *Page, key, value uint64) (uint64, PageID, bool, er
 	return rest[0].k, right.ID, true, nil
 }
 
-// insertInner adds the separator key and right child that a split of
-// childFor(p, inserted) promoted. The entry goes directly after that
-// child, found the way childFor found it: searching by the promoted key
-// instead would, among separators equal to it, put the new page to the
-// right of pages the leaf chain (and key order) put it before.
-func (t *BTree) insertInner(p *Page, inserted, key uint64, child PageID) (uint64, PageID, bool, error) {
+// insertInner adds, at index i, the separator key and right child that
+// a split of child slot i-1 promoted: directly after the child that
+// split. Searching by the promoted key instead would, among separators
+// equal to it, put the new page to the right of pages the leaf chain
+// (and key order) put it before.
+func (t *BTree) insertInner(p *Page, i int, key uint64, child PageID) (uint64, PageID, bool, error) {
 	n := nodeCount(p)
-	i := innerUpperBound(p, inserted)
 	if n < maxInnerKeys {
 		copy(p.Data[innerHdr+(i+1)*innerEntry:innerHdr+(n+1)*innerEntry], p.Data[innerHdr+i*innerEntry:innerHdr+n*innerEntry])
 		setInnerEntry(p, i, key, child)

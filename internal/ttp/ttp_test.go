@@ -2,6 +2,8 @@ package ttp
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"lexequal/internal/phoneme"
@@ -378,6 +380,36 @@ func TestOutputsContainNoSuprasegmentals(t *testing.T) {
 			}
 			if _, err := phoneme.Parse(out.IPA()); err != nil {
 				t.Errorf("%v %q output %s does not re-parse: %v", lang, text, out, err)
+			}
+		}
+	}
+}
+
+// TestRarePrecomposedIndicLetters: the precomposed Devanagari letters
+// U+0929, U+0931 and U+095F read as their base letter followed by the
+// nukta does, and Tamil U+0BB6 reads ʃ; no renderer writes any of them.
+// None occurs in the lexicon, the generated rows or the fuzz seeds, so
+// the golden digest does not see them.
+func TestRarePrecomposedIndicLetters(t *testing.T) {
+	const nukta = "\u093c"
+	for precomposed, base := range map[string]string{"\u0929": "\u0928", "\u0931": "\u0930", "\u095f": "\u092f"} {
+		for _, word := range []string{"%s\u093e", "\u0915%s\u0940", "%s", "\u0905%s\u094d\u0924"} {
+			text := fmt.Sprintf(word, precomposed)
+			got, want := convert(t, script.Hindi, text), convert(t, script.Hindi, fmt.Sprintf(word, base+nukta))
+			if !got.Equal(want) || !got.Equal(convert(t, script.Hindi, fmt.Sprintf(word, base))) {
+				t.Errorf("%q reads %s, its decomposition %s", text, got.IPA(), want.IPA())
+			}
+		}
+	}
+	expectIPA(t, script.Tamil, map[string]string{"\u0bb6\u0bbe": "ʃaː", "\u0b86\u0bb6\u0bbe": "aːʃaː"})
+	a := phoneme.MustLookup("a")
+	for _, p := range phoneme.All() {
+		for _, s := range []phoneme.String{{p}, {p, a}, {a, p, p}} {
+			if out := script.ToDevanagari(s); strings.ContainsAny(out, "\u0929\u0931\u095f") {
+				t.Errorf("ToDevanagari(%s) = %q", s.IPA(), out)
+			}
+			if out := script.ToTamil(s); strings.ContainsRune(out, '\u0bb6') {
+				t.Errorf("ToTamil(%s) = %q", s.IPA(), out)
 			}
 		}
 	}
