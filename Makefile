@@ -6,7 +6,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check lint lint-json lockgraph test race fuzz-smoke bench bench-smoke bench-module bench-traced perf-smoke dataset-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
+.PHONY: all build vet fmt-check lint lint-json lockgraph test race fuzz-smoke bench bench-module bench-traced perf-smoke quality-smoke dataset-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
 
 all: build
 
@@ -48,19 +48,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full run of the §5 workload benchmark (DESIGN.md §9, §14). Writes
-# BENCH_PR8.json with per-kernel (scalar vs bit-parallel) ns/op and
-# fails if any parallel run diverges from serial or any bitvec result
-# diverges from scalar.
+# The BENCHMARK.json harness (DESIGN.md §9, §14): every workload end to
+# end, then the per-layer metrics; writes bench/out/result-1.json.
 bench:
-	$(GO) run ./cmd/lexequalbench -out BENCH_PR8.json
-
-# Shortened benchmark run. The binary exits non-zero unless results are
-# identical across every (kernel, workers) pair, so this target is the
-# bitvec/scalar identity assertion in the CI gate.
-bench-smoke:
-	@mkdir -p results
-	$(GO) run ./cmd/lexequalbench -quick -out results/BENCH_smoke.json
+	bash bench/run.sh
 
 # bench/ is a nested module (the BENCHMARK.json harness) that compiles
 # against internal/* but that `go build ./...` and `go test ./...` at
@@ -83,12 +74,21 @@ bench-traced:
 		bash bench/run.sh -workload insert_probe_mixed -trace 1 -seed $$s || exit 1; \
 	done
 
-# The paper's Table 2 experiment at 20k rows into a throwaway directory,
-# so cmd/perf's load path (DESIGN.md §11: bulk loads go through
-# BuildAtomic, not one WAL transaction) cannot break unnoticed.
+# The paper's Tables 1-3 and Figure 13 at 20k rows into a throwaway
+# directory: the exact and UDF scan and join, the q-gram and phonetic
+# index plans and the false-dismissal audit all run, and cmd/perf's
+# load path (DESIGN.md §11: bulk loads go through BuildAtomic, not one
+# WAL transaction) cannot break unnoticed.
 perf-smoke:
-	@dir=$$(mktemp -d) && $(GO) run ./cmd/perf -dir $$dir -rows 20000 -table 2 -queries 3; \
+	@dir=$$(mktemp -d) && $(GO) run ./cmd/perf -dir $$dir -rows 20000 -table 0 -queries 3; \
 	status=$$?; rm -rf $$dir; exit $$status
+
+# Figures 10-12 as a golden check: cmd/quality's output must be
+# byte-identical to results/quality_full.txt. A change that moves a
+# figure regenerates the file and says why.
+quality-smoke:
+	@out=$$(mktemp) && $(GO) run ./cmd/quality > $$out && cmp $$out results/quality_full.txt; \
+	status=$$?; rm -f $$out; exit $$status
 
 # The 10k-row mkdataset load into a throwaway directory (DESIGN.md §4b):
 # perf.db must pass `lexequal check -wal` and hold at most 5,600,000
@@ -143,7 +143,7 @@ mvcc-smoke:
 	$(GO) test -race -count=1 -run 'TestMVCCSmoke|TestSelectNeverBlocksBehindWriter|TestWriteWriteConflictAbortsAndRetries' ./internal/sql/
 	$(GO) test -race -count=1 -run 'TestMVCC' ./internal/db/
 
-ci: fmt-check vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke bench-module perf-smoke dataset-smoke bench-traced
+ci: fmt-check vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-module perf-smoke quality-smoke dataset-smoke bench-traced
 
 clean:
 	$(GO) clean ./...

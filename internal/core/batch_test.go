@@ -109,73 +109,115 @@ func TestCorpusBatchMatchesRowAtATime(t *testing.T) {
 // over.
 func kernelChoices() []Kernel { return []Kernel{KernelScalar, KernelAuto, KernelBitvec} }
 
+// KernelInput is one input the kernel×width determinism contract runs
+// over: Queries selected from Select at SelectThr, and a self-join of
+// Join at JoinThr.
+type KernelInput struct {
+	Name            string
+	Select, Queries []Text
+	SelectThr       float64
+	Join            []Text
+	JoinThr         float64
+}
+
+// KernelInputs lists the contract's inputs: bigCatalog here, and the
+// generated multiscript rows that generated_test.go appends (package
+// core_test, since the dataset package imports core).
+var KernelInputs = []func(testing.TB) KernelInput{
+	func(testing.TB) KernelInput {
+		return KernelInput{
+			Name:      "catalog",
+			Select:    bigCatalog(),
+			Queries:   []Text{en("Nehru"), en("Gandhi"), en("narula"), en("kathy")},
+			SelectThr: 0.30,
+			Join:      bigCatalog(),
+			JoinThr:   0.20,
+		}
+	},
+}
+
 // TestSelectDeterministicAcrossKernels is the PR's core contract:
 // results are byte-identical across every (kernel, workers) pair, raw
 // Stats are identical across worker counts within a kernel, and the
 // kernel-independent Canon view is identical across kernels.
 func TestSelectDeterministicAcrossKernels(t *testing.T) {
 	op := newOp(t)
-	c := buildBigCorpus(t, op)
-	queries := []Text{en("Nehru"), en("Gandhi"), en("narula"), en("kathy")}
-	for _, strat := range []Strategy{Naive, QGram, Indexed} {
-		for _, q := range queries {
-			base, baseSt, err := c.Select(q, 0.30, nil, strat, WithKernel(KernelScalar), Parallel(1))
+	for _, input := range KernelInputs {
+		in := input(t)
+		t.Run(in.Name, func(t *testing.T) {
+			c, err := op.NewCorpus(in.Select)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range kernelChoices() {
-				var kernelBase Stats
-				for wi, w := range []int{1, 2, 4} {
-					got, st, err := c.Select(q, 0.30, nil, strat, WithKernel(k), Parallel(w))
+			for _, strat := range []Strategy{Naive, QGram, Indexed} {
+				for _, q := range in.Queries {
+					base, baseSt, err := c.Select(q, in.SelectThr, nil, strat, WithKernel(KernelScalar), Parallel(1))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, base) {
-						t.Errorf("%v %v kernel=%v workers=%d: results %v != scalar serial %v", strat, q, k, w, got, base)
-					}
-					if wi == 0 {
-						kernelBase = st
-					} else if st != kernelBase {
-						t.Errorf("%v %v kernel=%v workers=%d: stats %+v != serial %+v", strat, q, k, w, st, kernelBase)
-					}
-					if st.Canon() != baseSt.Canon() {
-						t.Errorf("%v %v kernel=%v workers=%d: canon stats %+v != scalar %+v", strat, q, k, w, st.Canon(), baseSt.Canon())
+					for _, k := range kernelChoices() {
+						var kernelBase Stats
+						for wi, w := range []int{1, 2, 4} {
+							got, st, err := c.Select(q, in.SelectThr, nil, strat, WithKernel(k), Parallel(w))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(got, base) {
+								t.Errorf("%v %v kernel=%v workers=%d: results %v != scalar serial %v", strat, q, k, w, got, base)
+							}
+							if wi == 0 {
+								kernelBase = st
+							} else if st != kernelBase {
+								t.Errorf("%v %v kernel=%v workers=%d: stats %+v != serial %+v", strat, q, k, w, st, kernelBase)
+							}
+							if st.Canon() != baseSt.Canon() {
+								t.Errorf("%v %v kernel=%v workers=%d: canon stats %+v != scalar %+v", strat, q, k, w, st.Canon(), baseSt.Canon())
+							}
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestJoinDeterministicAcrossKernels extends the contract to joins.
 func TestJoinDeterministicAcrossKernels(t *testing.T) {
 	op := newOp(t)
-	c := buildBigCorpus(t, op)
-	for _, strat := range []Strategy{Naive, QGram, Indexed} {
-		base, baseSt, err := SelfJoin(c, 0.20, false, strat, WithKernel(KernelScalar), Parallel(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range kernelChoices() {
-			var kernelBase Stats
-			for wi, w := range []int{1, 2, 4} {
-				got, st, err := SelfJoin(c, 0.20, false, strat, WithKernel(k), Parallel(w))
+	for _, input := range KernelInputs {
+		in := input(t)
+		t.Run(in.Name, func(t *testing.T) {
+			c, err := op.NewCorpus(in.Join)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, strat := range []Strategy{Naive, QGram, Indexed} {
+				base, baseSt, err := SelfJoin(c, in.JoinThr, false, strat, WithKernel(KernelScalar), Parallel(1))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, base) {
-					t.Errorf("%v kernel=%v workers=%d: pairs diverge from scalar serial", strat, k, w)
-				}
-				if wi == 0 {
-					kernelBase = st
-				} else if st != kernelBase {
-					t.Errorf("%v kernel=%v workers=%d: stats %+v != serial %+v", strat, k, w, st, kernelBase)
-				}
-				if st.Canon() != baseSt.Canon() {
-					t.Errorf("%v kernel=%v workers=%d: canon stats %+v != scalar %+v", strat, k, w, st.Canon(), baseSt.Canon())
+				for _, k := range kernelChoices() {
+					var kernelBase Stats
+					for wi, w := range []int{1, 2, 4} {
+						got, st, err := SelfJoin(c, in.JoinThr, false, strat, WithKernel(k), Parallel(w))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, base) {
+							t.Errorf("%v kernel=%v workers=%d: pairs diverge from scalar serial", strat, k, w)
+						}
+						if wi == 0 {
+							kernelBase = st
+						} else if st != kernelBase {
+							t.Errorf("%v kernel=%v workers=%d: stats %+v != serial %+v", strat, k, w, st, kernelBase)
+						}
+						if st.Canon() != baseSt.Canon() {
+							t.Errorf("%v kernel=%v workers=%d: canon stats %+v != scalar %+v", strat, k, w, st.Canon(), baseSt.Canon())
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

@@ -5,7 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lexequal/internal/core"
+	"lexequal/internal/dataset"
 	"lexequal/internal/script"
+	"lexequal/internal/ttp"
 )
 
 func openDB(t *testing.T) *DB {
@@ -341,6 +344,64 @@ func TestHashJoinResidual(t *testing.T) {
 	if len(rows) != 5*10*9 {
 		t.Errorf("residual join rows = %d, want 450", len(rows))
 	}
+}
+
+// BenchmarkAblation_JoinStrategy compares a hash join with a nested
+// loop on the exact equi-join: a self-join on id of a 400-row names
+// table (the paper's 0.2 % of 200k rows) of generated names.
+func BenchmarkAblation_JoinStrategy(b *testing.B) {
+	op := core.MustNew(core.Options{})
+	lex, err := dataset.BuildLexicon(ttp.Default(), dataset.SourceAll)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var texts []core.Text
+	for _, e := range dataset.Generate(lex, 400) {
+		texts = append(texts, e.Text)
+	}
+	dir := b.TempDir() + "/db"
+	err = BuildAtomic(dir, Options{}, func(d *DB) error {
+		_, err := CreateNameTable(d, "names", op, texts, NameTableSpec{WithAux: true, WithIndexes: true})
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	cfg, err := ResolveLexConfig(d, "names", op)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("hash", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Collect(&HashJoin{
+				Left:     NewSeqScan(cfg.Table),
+				Right:    NewSeqScan(cfg.Table),
+				LeftCol:  cfg.IDCol,
+				RightCol: cfg.IDCol,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("nestedloop", func(b *testing.B) {
+		pred := &Binary{Op: "=",
+			L: &ColRef{Idx: cfg.IDCol},
+			R: &ColRef{Idx: len(cfg.Table.Columns) + cfg.IDCol}}
+		for i := 0; i < b.N; i++ {
+			if _, err := Collect(&NestedLoopJoin{
+				Left:  NewSeqScan(cfg.Table),
+				Right: NewSeqScan(cfg.Table),
+				Pred:  pred,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestGroupByCountHaving(t *testing.T) {

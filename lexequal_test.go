@@ -1,8 +1,12 @@
 package lexequal
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"lexequal/internal/dataset"
+	"lexequal/internal/ttp"
 )
 
 func TestNewDefault(t *testing.T) {
@@ -257,5 +261,34 @@ func TestSQLDeleteThroughFacade(t *testing.T) {
 	left := d.MustExec(`SELECT COUNT(*) FROM t`)
 	if left.Rows[0][0].I != 1 {
 		t.Errorf("remaining = %v", left.Rows)
+	}
+}
+
+// End-to-end SQL overhead: the Figure 3 query through the parser and
+// planner, over 2,000 generated names under the q-gram strategy.
+func BenchmarkSQLSelectLexEqual(b *testing.B) {
+	lex, err := dataset.BuildLexicon(ttp.Default(), dataset.SourceAll)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := OpenWith(b.TempDir(), NewDefault())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	var texts []Text
+	for _, e := range dataset.Generate(lex, 2000) {
+		texts = append(texts, e.Text)
+	}
+	if err := d.LoadNames("names", texts, NameTableSpec{WithAux: true, WithIndexes: true}); err != nil {
+		b.Fatal(err)
+	}
+	d.MustExec("SET lexequal_strategy = qgram")
+	q := fmt.Sprintf("SELECT id FROM names WHERE name LEXEQUAL '%s' THRESHOLD 0.25", texts[0].Value)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Exec(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
